@@ -60,6 +60,22 @@ echo "== superinstruction fusion differential (debug: stack/shadow asserts; rele
 cargo test --features debug-invariants -q --test fusion_differential --test fusion_golden
 cargo test -q --release --test fusion_differential
 
+echo "== one interpreter loop (untraced-engine lockstep, fused resume, verifier soundness)"
+# The engine's out-of-trace code runs on the Vm's unchecked slab loop:
+# the untraced engine must match Vm::stats() field for field, side exits
+# and fuel cuts inside fused groups must match the reference, and the
+# Instr-level mutation campaign (with its planted verifier quirk) attacks
+# the verifier soundness the unchecked accesses rest on.
+cargo test --features debug-invariants -q --test one_loop --test verifier_soundness
+cargo test -q --release --test one_loop --test verifier_soundness
+
+echo "== e2ebench self-tests and per-workload smoke (1 s, tracing off)"
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+for w in mpegaudio-warm javac-warm soot-cold; do
+    cargo run --release --quiet --offline --manifest-path e2ebench/Cargo.toml -- \
+        --workload "$w" --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct": true'
+done
+
 echo "== hot-path bench smoke (test scale)"
 cargo run --release -p trace-bench --bin hot_path -- --smoke --out /tmp/BENCH_hot_path.smoke.json
 

@@ -253,9 +253,33 @@ struct SlotSig {
 ///
 /// Returns the first [`VerifyError`] found.
 pub fn verify_program(program: &Program) -> Result<(), VerifyError> {
+    verify(program, None)
+}
+
+/// A deliberately unsound verifier variant. The soundness campaigns use
+/// it to prove they catch a verifier that accepts bad code: the
+/// interpreter's unchecked frame accesses rest on the checks a quirk
+/// removes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VerifyQuirk {
+    /// Accept join points whose incoming stack depths disagree (skip the
+    /// [`VerifyError::DepthMismatch`] check).
+    SkipJoinDepthCheck,
+}
+
+/// [`verify_program`] with `quirk` planted. Test use only.
+///
+/// # Errors
+///
+/// As for [`verify_program`], minus what the quirk skips.
+pub fn verify_program_with_quirk(program: &Program, quirk: VerifyQuirk) -> Result<(), VerifyError> {
+    verify(program, Some(quirk))
+}
+
+fn verify(program: &Program, quirk: Option<VerifyQuirk>) -> Result<(), VerifyError> {
     let slot_sigs = collect_slot_sigs(program)?;
     for func in program.functions() {
-        verify_function(program, func.id(), &slot_sigs)?;
+        verify_function(program, func.id(), &slot_sigs, quirk)?;
     }
     Ok(())
 }
@@ -347,6 +371,7 @@ fn verify_function(
     program: &Program,
     id: FuncId,
     slot_sigs: &[Option<SlotSig>],
+    quirk: Option<VerifyQuirk>,
 ) -> Result<(), VerifyError> {
     use AbstractType::*;
 
@@ -694,6 +719,7 @@ fn verify_function(
                 Some(existing) => match st.merge_into(existing) {
                     Ok(true) => worklist.push_back(s),
                     Ok(false) => {}
+                    Err(_) if quirk == Some(VerifyQuirk::SkipJoinDepthCheck) => {}
                     Err((first, second)) => {
                         return Err(VerifyError::DepthMismatch {
                             func: fname.to_owned(),

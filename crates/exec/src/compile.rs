@@ -27,6 +27,7 @@ use std::error::Error;
 use std::fmt;
 
 use jvm_bytecode::{BlockId, CmpOp, FuncId, Instr, Program};
+use jvm_vm::{Value, VmError};
 use trace_cache::{Trace, TraceId};
 
 /// The shape of a guarded conditional branch.
@@ -51,6 +52,26 @@ impl CondKind {
             CondKind::ICmp(_) | CondKind::FCmp(_) => 2,
             CondKind::IZero(_) | CondKind::Null | CondKind::NonNull => 1,
         }
+    }
+
+    /// Whether the branch is taken on operands `a` (deeper) and `b`
+    /// (top; one-operand kinds read only `a`). Type errors surface in
+    /// interpreter pop order: top first.
+    #[inline]
+    pub fn taken(self, a: Value, b: Value) -> Result<bool, VmError> {
+        Ok(match self {
+            CondKind::ICmp(op) => {
+                let vb = b.as_int()?;
+                op.eval_i64(a.as_int()?, vb)
+            }
+            CondKind::IZero(op) => op.eval_i64(a.as_int()?, 0),
+            CondKind::FCmp(op) => {
+                let vb = b.as_float()?;
+                op.eval_f64(a.as_float()?, vb)
+            }
+            CondKind::Null => matches!(a, Value::Null),
+            CondKind::NonNull => !matches!(a, Value::Null),
+        })
     }
 }
 

@@ -1,40 +1,46 @@
 //! The trace-executing virtual machine.
 //!
 //! [`TracingVm`] is the "fully integrated" system the paper names as its
-//! next step (§6): out-of-trace code is interpreted from the **decoded
-//! threaded form** ([`jvm_vm::DecodedProgram`]) with the profiler attached
-//! to every dispatch, while cached traces execute from compiled, guarded
-//! straight-line code — lowered to the same decoded form by
-//! [`crate::lower`] — with **no dispatch and no profiling points inside**
-//! ("a trace dispatch executes a single profiling statement, all of the
-//! inlined ones are removed", §5.4).
+//! next step (§6): out-of-trace code runs on the decoded interpreter loop
+//! of `jvm_vm` ([`jvm_vm::run_with_hook`]) — the same loop, fused
+//! superinstructions included, that the plain [`jvm_vm::Vm`] runs — with
+//! the engine attached as its block hook, while cached traces execute
+//! from compiled, guarded straight-line code with **no dispatch and no
+//! profiling points inside** ("a trace dispatch executes a single
+//! profiling statement, all of the inlined ones are removed", §5.4).
 //!
-//! Out-of-trace dispatch is marker-driven: the decoded streams bake an
-//! [`op::ENTER_BLOCK`] marker at every basic-block start, so block-entry
-//! detection — and with it the profiler hook and the trace-entry check —
-//! is one opcode case instead of a per-instruction block-index
-//! comparison. Frame `pc`s are indices into the decoded streams
-//! throughout, including across trace entry and side exits.
+//! The hook runs at every block-entry marker of the decoded streams: it
+//! feeds the profiler, routes its signals to the trace constructor, runs
+//! the health epoch, and looks the entry branch up in the trace cache. On
+//! a hit it executes the trace directly on the loop's frame arena and
+//! hands control back with [`Flow::Resume`]; the loop reloads the frame
+//! and goes on from wherever the trace left it. Guards and side exits are
+//! the only boundary between the two tiers. Frame `pc`s are indices into
+//! the decoded streams throughout, including across trace entry and side
+//! exits.
 //!
 //! Guard failures side-exit: the frame's `pc` is re-anchored at the
 //! guarded instruction (whose operands were only peeked, never popped)
-//! and the interpreter resumes there, re-executing it with full
-//! semantics. The resume point sits just *past* its block's entry marker,
-//! so the dispatch event the reference system would fire on resumption is
+//! and the loop resumes there, re-executing it with full semantics. The
+//! resume point sits just *past* its block's entry marker, so the
+//! dispatch event the reference system would fire on resumption is
 //! accounted for **eagerly** at the exit itself, in the same order the
-//! out-of-trace loop would. Consequently the engine is *semantically
-//! transparent*: with optimization off it executes exactly the same
-//! instruction sequence as the plain interpreter — a property the
-//! differential tests pin down on all six workloads.
+//! loop would. A trace that completes re-anchors the frame at its final
+//! terminator, which the loop then executes (and charges fuel for).
+//! Consequently the engine is *semantically transparent*: with
+//! optimization off it executes exactly the same instruction sequence as
+//! the plain interpreter — a property the differential tests pin down on
+//! all six workloads.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use jvm_bytecode::{BlockId, ClassId, FuncId, Intrinsic, Program};
-use jvm_vm::decode::{eval_f_rel, eval_i_rel, op, INTRINSIC_ORDER};
+use jvm_bytecode::{BlockId, FuncId, Intrinsic, Program};
+use jvm_vm::fuse::{BlockCounts, FusionConfig, FusionPlan, FusionProfile, FusionReport};
 use jvm_vm::{
-    fold_checksum, DOp, DecodedProgram, ExecStats, Heap, HeapObj, OutputItem, Value, VmError,
+    exec_straightline, fold_checksum, run_with_hook, BlockHook, DecodedProgram, ExecStats, Flow,
+    FrameArena, Heap, HeapObj, OutputItem, RunState, Value, VmError,
 };
 use trace_bcg::{BranchCorrelationGraph, NodeState, Signal, SignalKind};
 use trace_cache::{
@@ -44,9 +50,9 @@ use trace_cache::{
 use trace_jit::{RunReport, TraceJitConfig};
 use trace_persist::{program_hash, Snapshot, SnapshotError, SnapshotReader};
 
-use crate::compile::{compile, CondKind};
+use crate::compile::compile;
 use crate::fuse::{fuse_trace, FuseStats, Fused};
-use crate::lower::{lower_trace, lower_trace_frozen, LoweredTrace, XInstr};
+use crate::lower::{lower_trace_frozen, LoweredTrace, XInstr};
 use crate::opt::{optimize_trace, OptStats};
 use crate::reg::{lower_reg, FrameImage, RBin, RInstr, RUn, RegStats, RegTrace, TraceArtifact};
 use crate::shared::SharedSession;
@@ -70,9 +76,10 @@ pub struct EngineConfig {
     /// profile-driven DOp superinstructions ([`jvm_vm::fuse`]) after the
     /// first run: block visits are counted during the first run and the
     /// selection is applied when it completes. Trace execution is
-    /// unaffected (traces lower from source instructions); the engine's
-    /// fallback interpreter transparently unfuses groups it steps
-    /// through one instruction at a time. On by default.
+    /// unaffected (traces lower from source instructions); out-of-trace
+    /// code then runs the fused groups on the shared interpreter loop,
+    /// and side exits that resume inside a group run its unfused
+    /// remainder from the shadow slots. On by default.
     pub dop_fusion: bool,
     /// Whether the lifetime trace-health subsystem runs: per-trace
     /// dispatch outcomes feed the cache's health ledger, and at every
@@ -153,37 +160,10 @@ pub struct WarmBootReport {
     pub artifacts_prebuilt: usize,
 }
 
-/// One activation record. `pc` is an index into the owning function's
-/// *decoded* stream; block-entry detection is carried by the stream's
-/// markers, so no per-frame block bookkeeping is needed.
-#[derive(Debug)]
-struct ExFrame {
-    func: FuncId,
-    pc: u32,
-    locals: Vec<Value>,
-    stack: Vec<Value>,
-}
-
-impl ExFrame {
-    fn new(func: FuncId, num_locals: u16, args: &[Value]) -> Self {
-        // Args-first fill: the argument prefix is written exactly once,
-        // only the tail is zeroed.
-        let mut locals = Vec::with_capacity(num_locals as usize);
-        locals.extend_from_slice(args);
-        locals.resize(num_locals as usize, Value::default());
-        ExFrame {
-            func,
-            pc: 0,
-            locals,
-            stack: Vec::with_capacity(8),
-        }
-    }
-}
-
 /// Reads virtual register `r` without a release-mode bounds check.
 ///
 /// `lower_reg` numbers every operand below the trace's `num_regs` and
-/// [`TracingVm::execute_reg_trace`] grows the register file to at least
+/// [`Engine::execute_reg_trace`] grows the register file to at least
 /// that length on entry, so all register accesses are in range by
 /// construction (the same argument as the interpreter's slab `slot`).
 #[inline(always)]
@@ -202,11 +182,6 @@ fn rset(regs: &mut [Value], r: crate::reg::Reg, v: Value) {
     unsafe { *regs.get_unchecked_mut(r as usize) = v }
 }
 
-enum Step {
-    Ok,
-    Finished(Option<Value>),
-}
-
 enum TraceRun {
     Completed,
     SideExited {
@@ -218,7 +193,21 @@ enum TraceRun {
         /// the health ledger's per-guard side-exit histogram.
         site: u32,
     },
-    Finished(Option<Value>),
+}
+
+/// One private-mode trace id's compiled form, in a table indexed by
+/// [`TraceId::index`]. Both terminal states are permanent: a trace id's
+/// blocks never change.
+#[derive(Debug, Clone, Default)]
+enum ArtifactSlot {
+    /// Not compiled yet.
+    #[default]
+    Unbuilt,
+    /// Compiled and lowered.
+    Built(Rc<TraceArtifact>),
+    /// Compilation failed, or the decoded lowering refused it: never
+    /// entered.
+    Refused,
 }
 
 /// Consecutive immediate entry side-exits of the same trace before the
@@ -231,49 +220,56 @@ const ENTRY_EXIT_STREAK_LIMIT: u32 = 8;
 /// engine's fault triggers — corrupt artifacts and entry-exit streaks.
 const QUARANTINE_COOLDOWN: u32 = 4;
 
-/// The trace-executing VM: decoded-form interpreter + profiler + trace
-/// cache + trace compiler + guarded trace execution, in one engine.
+/// The trace-executing VM: the decoded interpreter loop with the engine
+/// (profiler + trace cache + trace compiler + guarded trace execution)
+/// attached as its block hook.
 #[derive(Debug)]
 pub struct TracingVm<'p> {
-    program: &'p Program,
     /// The program in decoded threaded form — the only representation the
-    /// execution paths read. Mutable because trace lowering interns
-    /// optimizer-made constants into its pools.
+    /// execution paths read. Read-only during a run; DOp fusion rewrites
+    /// it once, when the first run completes.
     decoded: DecodedProgram,
+    /// Rewrite report of the applied DOp-fusion plan, once fused.
+    dop_fusion_report: Option<FusionReport>,
+    // Run state, lent to the interpreter loop for each run.
+    heap: Heap,
+    arena: FrameArena,
+    stats: ExecStats,
+    checksum: u64,
+    output: Vec<OutputItem>,
+    /// Everything that runs at a block dispatch.
+    engine: Engine<'p>,
+}
+
+/// The engine's block hook: profiler, constructor, trace cache, compiled
+/// artifacts and the two trace executors.
+#[derive(Debug)]
+struct Engine<'p> {
+    program: &'p Program,
     config: EngineConfig,
     bcg: BranchCorrelationGraph,
     constructor: TraceConstructor,
     cache: TraceCache,
-    lowered: HashMap<TraceId, Rc<TraceArtifact>>,
-    uncompilable: std::collections::HashSet<TraceId>,
+    /// Private-mode artifact table, indexed by [`TraceId::index`].
+    artifacts: Vec<ArtifactSlot>,
+    /// Traces the frozen decoded lowering refused (they need an
+    /// optimizer-made constant the program pools lack).
+    frozen_refused: u64,
     opt_stats: OptStats,
     fuse_stats: FuseStats,
     reg_stats: RegStats,
     /// Block-visit profile accumulated during the first run; input to
     /// the DOp-fusion selection (see [`jvm_vm::fuse`]).
-    block_visits: jvm_vm::fuse::BlockCounts,
-    /// Rewrite report of the applied DOp-fusion plan, once fused.
-    dop_fusion_report: Option<jvm_vm::fuse::FusionReport>,
-    // Run state.
-    heap: Heap,
-    frames: Vec<ExFrame>,
-    stats: ExecStats,
+    block_visits: BlockCounts,
+    /// Whether this run counts block visits for DOp fusion.
+    profile_fusion: bool,
     trace_stats: TraceExecStats,
-    checksum: u64,
-    output: Vec<OutputItem>,
     prev_block: Option<BlockId>,
-    /// Monomorphic compiled-trace cache: the last `(trace id, lowered
-    /// trace)` that dispatched. The entry-branch → trace-id step is
-    /// already hashless (the BCG node's inline trace-link slot); this
-    /// removes the `lowered` map probe for loop traces that re-enter
-    /// through the same branch every iteration. No version stamp needed:
-    /// a `TraceId`'s lowered form never changes.
-    hot_trace: Option<(TraceId, Rc<TraceArtifact>)>,
     /// Reusable register file for register-trace execution: sized (and
     /// constant-seeded) per trace on entry, recycled across entries so
     /// the hot path never allocates.
     reg_file: Vec<Value>,
-    /// Reusable signal drain buffer: the dispatch loop never allocates.
+    /// Reusable signal drain buffer: the dispatch hook never allocates.
     signal_buf: Vec<Signal>,
     /// Shared-cache session, when this VM dispatches against a cache
     /// other VMs share. Signals then go to the off-thread constructor as
@@ -284,7 +280,8 @@ pub struct TracingVm<'p> {
     /// has no artifact, e.g. its chain stopped matching the program flow;
     /// both outcomes are permanent for a given id).
     shared_lowered: HashMap<TraceId, Option<Arc<TraceArtifact>>>,
-    /// Shared-mode analogue of `hot_trace`.
+    /// Monomorphic memo in front of `shared_lowered`: the last shared
+    /// artifact that dispatched.
     hot_shared: Option<(TraceId, Arc<TraceArtifact>)>,
     /// `(trace id, consecutive immediate entry side-exits)` — the
     /// engine-side quarantine trigger (see [`ENTRY_EXIT_STREAK_LIMIT`]).
@@ -320,35 +317,37 @@ impl<'p> TracingVm<'p> {
     /// pass.
     pub fn new(program: &'p Program, config: EngineConfig) -> Self {
         TracingVm {
-            program,
             decoded: DecodedProgram::decode(program),
-            config,
-            bcg: BranchCorrelationGraph::new(config.jit.bcg_config()),
-            constructor: TraceConstructor::new(config.jit.constructor_config()),
-            cache: TraceCache::new(),
-            lowered: HashMap::new(),
-            uncompilable: std::collections::HashSet::new(),
-            opt_stats: OptStats::default(),
-            fuse_stats: FuseStats::default(),
-            reg_stats: RegStats::default(),
-            block_visits: jvm_vm::fuse::BlockCounts::for_program(program),
             dop_fusion_report: None,
             heap: Heap::new(config.jit.vm.gc_threshold),
-            frames: Vec::new(),
+            arena: FrameArena::new(),
             stats: ExecStats::default(),
-            trace_stats: TraceExecStats::default(),
             checksum: 0,
             output: Vec::new(),
-            prev_block: None,
-            hot_trace: None,
-            reg_file: Vec::new(),
-            signal_buf: Vec::new(),
-            shared: None,
-            shared_lowered: HashMap::new(),
-            hot_shared: None,
-            entry_exit_streak: None,
-            outcome_buf: Vec::new(),
-            last_health_epoch: 0,
+            engine: Engine {
+                program,
+                config,
+                bcg: BranchCorrelationGraph::new(config.jit.bcg_config()),
+                constructor: TraceConstructor::new(config.jit.constructor_config()),
+                cache: TraceCache::new(),
+                artifacts: Vec::new(),
+                frozen_refused: 0,
+                opt_stats: OptStats::default(),
+                fuse_stats: FuseStats::default(),
+                reg_stats: RegStats::default(),
+                block_visits: BlockCounts::for_program(program),
+                profile_fusion: false,
+                trace_stats: TraceExecStats::default(),
+                prev_block: None,
+                reg_file: Vec::new(),
+                signal_buf: Vec::new(),
+                shared: None,
+                shared_lowered: HashMap::new(),
+                hot_shared: None,
+                entry_exit_streak: None,
+                outcome_buf: Vec::new(),
+                last_health_epoch: 0,
+            },
         }
     }
 
@@ -359,18 +358,18 @@ impl<'p> TracingVm<'p> {
     /// [`crate::shared`]). The session must belong to `program`.
     pub fn new_shared(program: &'p Program, config: EngineConfig, session: SharedSession) -> Self {
         let mut vm = Self::new(program, config);
-        vm.shared = Some(session);
+        vm.engine.shared = Some(session);
         vm
     }
 
     /// The trace cache (shared structure with the base system).
     pub fn cache(&self) -> &TraceCache {
-        &self.cache
+        &self.engine.cache
     }
 
     /// The shared-cache session, when running in shared mode.
     pub fn shared(&self) -> Option<&SharedSession> {
-        self.shared.as_ref()
+        self.engine.shared.as_ref()
     }
 
     /// The decoded program the engine executes from.
@@ -382,42 +381,56 @@ impl<'p> TracingVm<'p> {
     /// construction happens on the session's service thread). Lets a
     /// harness separate boot-time replay work from in-run construction.
     pub fn constructor_stats(&self) -> ConstructorStats {
-        self.constructor.stats()
+        self.engine.constructor.stats()
     }
 
     /// Aggregated optimizer statistics over all compiled traces.
     pub fn opt_stats(&self) -> OptStats {
-        self.opt_stats
+        self.engine.opt_stats
     }
 
     /// Aggregated superinstruction-fusion statistics over all compiled
     /// traces.
     pub fn fuse_stats(&self) -> FuseStats {
-        self.fuse_stats
+        self.engine.fuse_stats
     }
 
     /// Aggregated register-lowering statistics over all compiled traces
     /// (registers allocated, stack ops eliminated, guards fused).
     pub fn reg_stats(&self) -> RegStats {
-        self.reg_stats
+        self.engine.reg_stats
+    }
+
+    /// The artifacts compiled so far (private mode).
+    fn built(&self) -> impl Iterator<Item = &TraceArtifact> {
+        self.engine.artifacts.iter().filter_map(|s| match s {
+            ArtifactSlot::Built(a) => Some(&**a),
+            _ => None,
+        })
     }
 
     /// Number of traces compiled (and lowered) so far.
     pub fn compiled_count(&self) -> usize {
-        self.lowered.len()
+        self.built().count()
     }
 
     /// Number of compiled traces running in register form.
     pub fn reg_lowered_count(&self) -> usize {
-        self.lowered
-            .values()
-            .filter(|a| matches!(***a, TraceArtifact::Reg(_)))
+        self.built()
+            .filter(|a| matches!(a, TraceArtifact::Reg(_)))
             .count()
+    }
+
+    /// Number of traces the decoded fallback refused to lower because
+    /// they need a constant the program pools lack (only the optimizer
+    /// invents those). Such traces are never entered.
+    pub fn frozen_refused_count(&self) -> u64 {
+        self.engine.frozen_refused
     }
 
     /// Real byte footprint of all lowered traces.
     pub fn lowered_memory(&self) -> usize {
-        self.lowered.values().map(|a| a.memory_estimate()).sum()
+        self.built().map(TraceArtifact::memory_estimate).sum()
     }
 
     /// Output captured from print intrinsics during the most recent run
@@ -426,29 +439,37 @@ impl<'p> TracingVm<'p> {
         &self.output
     }
 
+    /// Execution counters of the most recent run, also after an error.
+    pub fn stats(&self) -> ExecStats {
+        self.stats
+    }
+
+    /// The cache policy surface this VM dispatches against.
+    fn store(&self) -> &dyn TraceStore {
+        match &self.engine.shared {
+            Some(sess) => &sess.cache,
+            None => &self.engine.cache,
+        }
+    }
+
     /// Health-ledger counters of whichever cache this VM dispatches
     /// against (private or shared) — recorded outcomes, epochs judged,
     /// probations, demotions, re-admissions under watch.
     pub fn health_stats(&self) -> HealthStats {
-        let store: &dyn TraceStore = match &self.shared {
-            Some(sess) => &sess.cache,
-            None => &self.cache,
-        };
-        store.health_stats()
+        self.store().health_stats()
     }
 
     /// Lifetime health telemetry for one tracked trace (a snapshot).
     pub fn trace_health(&self, tid: TraceId) -> Option<TraceHealth> {
-        let store: &dyn TraceStore = match &self.shared {
-            Some(sess) => &sess.cache,
-            None => &self.cache,
-        };
-        store.trace_health(tid)
+        self.store().trace_health(tid)
     }
 
     /// Construction-service health gauges (shared mode only).
     pub fn service_health(&self) -> Option<trace_cache::ServiceHealthSnapshot> {
-        self.shared.as_ref().map(|sess| sess.health.snapshot())
+        self.engine
+            .shared
+            .as_ref()
+            .map(|sess| sess.health.snapshot())
     }
 
     /// Machine-readable reason the runtime is running degraded, if it
@@ -457,12 +478,12 @@ impl<'p> TracingVm<'p> {
     /// `"health-off"` when the trace-health subsystem is disabled by
     /// configuration. `None` means fully healthy.
     pub fn degraded_reason(&self) -> Option<&'static str> {
-        if let Some(sess) = &self.shared {
+        if let Some(sess) = &self.engine.shared {
             if sess.health.is_degraded() {
                 return Some("constructor-degraded");
             }
         }
-        if !self.config.health {
+        if !self.engine.config.health {
             return Some("health-off");
         }
         None
@@ -475,163 +496,54 @@ impl<'p> TracingVm<'p> {
     ///
     /// Propagates runtime traps and resource limits as [`VmError`].
     pub fn run(&mut self, args: &[Value]) -> Result<RunReport, VmError> {
-        // Reset run state; profiler/cache/lowered traces persist.
-        self.heap = Heap::new(self.config.jit.vm.gc_threshold);
-        self.frames.clear();
-        self.stats = ExecStats::default();
-        self.checksum = 0;
-        self.output.clear();
-        self.prev_block = None;
-        self.bcg.begin_stream();
-
-        let program = self.program;
-        let entry = program.entry();
-        let ef = program.function(entry);
-        if args.len() != ef.num_params() as usize {
-            return Err(VmError::BadEntryArgs {
-                func: entry,
-                expected: ef.num_params(),
-                provided: args.len(),
-            });
-        }
-        self.frames.push(ExFrame::new(entry, ef.num_locals(), args));
-        self.stats.max_frame_depth = 1;
-
+        // Profiler/cache/artifacts persist across runs; the run state is
+        // reset by the loop.
+        let e = &mut self.engine;
+        e.prev_block = None;
+        e.bcg.begin_stream();
         // DOp fusion profiles the first run and rewrites when it
         // completes; afterwards the streams are already fused.
-        let profile_fusion = self.config.dop_fusion && self.dop_fusion_report.is_none();
+        e.profile_fusion = e.config.dop_fusion && self.dop_fusion_report.is_none();
 
-        let result = loop {
-            let (func_id, pc) = {
-                let f = self.frames.last().expect("frame exists");
-                (f.func, f.pc)
-            };
-            let d = self.decoded.func(func_id).code[pc as usize];
-
-            if d.op == op::ENTER_BLOCK {
-                // One dispatch per basic block: profiler hook + trace
-                // entry check, then fall into the block body.
-                self.frames.last_mut().expect("frame exists").pc = pc + 1;
-                self.stats.block_dispatches += 1;
-                if profile_fusion {
-                    self.block_visits.counts[func_id.0 as usize][d.b as usize] += 1;
-                }
-                let bid = BlockId::new(func_id, d.b);
-                let node = self.bcg.observe(bid);
-                self.dispatch_signals();
-                if self.config.health {
-                    // The health ladder is synced to the profiler's decay
-                    // window: flush outcomes + run the demotion epoch when
-                    // the dispatch count crosses an epoch boundary.
-                    let epoch = self.bcg.decay_epoch();
-                    if epoch != self.last_health_epoch {
-                        self.last_health_epoch = epoch;
-                        self.flush_health_epoch();
-                    }
-                }
-                let prev = self.prev_block.replace(bid);
-                // Entry check through the BCG node's trace-link slot: a
-                // version compare against the cache, no hashing. (In
-                // private mode signals were just handled, so a trace built
-                // by this very dispatch is immediately enterable — the
-                // slot revalidates on the version bump. In shared mode the
-                // slot stamp makes the lock-free probe one version
-                // compare on the steady state.)
-                let tid = {
-                    let store = store_mut(&mut self.shared, &mut self.cache);
-                    match (node, prev) {
-                        (Some(n), Some(_)) => store.lookup_entry_cached(&mut self.bcg, n),
-                        (None, Some(p)) => store.lookup_entry((p, bid)),
-                        (_, None) => None,
-                    }
-                };
-                let ran = match tid {
-                    Some(tid) if self.shared.is_some() => {
-                        let entry = (prev.expect("linked entry has a source block"), bid);
-                        match self.shared_lowered_for(tid, entry) {
-                            Some(art) => Some(match &*art {
-                                TraceArtifact::Reg(rt) => self.execute_reg_trace(rt, prev)?,
-                                TraceArtifact::Decoded(lt) => self.execute_trace(lt, prev)?,
-                            }),
-                            None => None,
-                        }
-                    }
-                    Some(tid) => match self.lowered_for(tid) {
-                        Some(art) => Some(match &*art {
-                            TraceArtifact::Reg(rt) => self.execute_reg_trace(rt, prev)?,
-                            TraceArtifact::Decoded(lt) => self.execute_trace(lt, prev)?,
-                        }),
-                        None => None,
-                    },
-                    None => None,
-                };
-                if ran.is_some() && self.trace_stats.first_entry_dispatch == 0 {
-                    // Warm-up marker: how many block dispatches this run
-                    // paid before the very first trace entry.
-                    self.trace_stats.first_entry_dispatch = self.stats.block_dispatches;
-                }
-                match ran {
-                    Some(TraceRun::Finished(v)) => {
-                        let entry = (prev.expect("linked entry has a source block"), bid);
-                        self.note_outcome(tid.expect("trace ran"), entry, TraceOutcome::Completed);
-                        break v;
-                    }
-                    Some(TraceRun::SideExited {
-                        immediate: true,
-                        site,
-                    }) => {
-                        let entry = (prev.expect("linked entry has a source block"), bid);
-                        let t = tid.expect("trace ran");
-                        self.note_outcome(t, entry, TraceOutcome::SideExit { site });
-                        self.note_immediate_entry_exit(t, entry);
-                    }
-                    Some(TraceRun::SideExited {
-                        immediate: false,
-                        site,
-                    }) => {
-                        let entry = (prev.expect("linked entry has a source block"), bid);
-                        let t = tid.expect("trace ran");
-                        self.note_outcome(t, entry, TraceOutcome::SideExit { site });
-                        self.entry_exit_streak = None;
-                    }
-                    Some(TraceRun::Completed) => {
-                        let entry = (prev.expect("linked entry has a source block"), bid);
-                        self.note_outcome(tid.expect("trace ran"), entry, TraceOutcome::Completed);
-                        self.entry_exit_streak = None;
-                    }
-                    None => self.trace_stats.blocks_outside += 1,
-                }
-                continue;
-            }
-
-            self.tick()?;
-            match self.exec(d)? {
-                Step::Ok => {}
-                Step::Finished(v) => break v,
-            }
+        let mut st = RunState {
+            program: e.program,
+            decoded: &self.decoded,
+            heap: std::mem::take(&mut self.heap),
+            arena: std::mem::take(&mut self.arena),
+            stats: ExecStats::default(),
+            checksum: 0,
+            output: std::mem::take(&mut self.output),
+            config: e.config.jit.vm,
         };
+        let result = run_with_hook(&mut st, args, e);
+        self.heap = st.heap;
+        self.arena = st.arena;
+        self.stats = st.stats;
+        self.checksum = st.checksum;
+        self.output = st.output;
+        let result = result?;
 
-        if profile_fusion {
+        if self.engine.profile_fusion {
             self.apply_dop_fusion();
         }
 
         // Settle pending outcomes so health telemetry read between runs
         // reflects everything this run dispatched. The demotion epoch
         // itself only runs at decay boundaries.
-        if !self.outcome_buf.is_empty() {
-            let store = store_mut(&mut self.shared, &mut self.cache);
-            store.record_outcome_runs(&self.outcome_buf);
-            self.outcome_buf.clear();
+        let e = &mut self.engine;
+        if !e.outcome_buf.is_empty() {
+            store_mut(&mut e.shared, &mut e.cache).record_outcome_runs(&e.outcome_buf);
+            e.outcome_buf.clear();
         }
 
         Ok(RunReport {
             result,
             checksum: self.checksum,
             exec: self.stats,
-            profiler: self.bcg.stats(),
-            traces: self.trace_stats,
-            constructor: self.constructor.stats(),
-            cache: self.cache.stats(),
+            profiler: e.bcg.stats(),
+            traces: e.trace_stats,
+            constructor: e.constructor.stats(),
+            cache: e.cache.stats(),
         })
     }
 
@@ -640,10 +552,9 @@ impl<'p> TracingVm<'p> {
     /// Quickening is in place (stream length, targets and side-exit
     /// dpcs unchanged), so compiled traces and resume points stay valid.
     fn apply_dop_fusion(&mut self) {
-        let visits = std::mem::take(&mut self.block_visits);
-        let profile = jvm_vm::fuse::FusionProfile::collect(&self.decoded, visits);
-        let plan =
-            jvm_vm::fuse::FusionPlan::select(profile, &jvm_vm::fuse::FusionConfig::default());
+        let visits = std::mem::take(&mut self.engine.block_visits);
+        let profile = FusionProfile::collect(&self.decoded, visits);
+        let plan = FusionPlan::select(profile, &FusionConfig::default());
         self.dop_fusion_report = Some(jvm_vm::fuse::apply(&mut self.decoded, &plan));
     }
 
@@ -651,7 +562,7 @@ impl<'p> TracingVm<'p> {
     /// considered, fusions applied and estimated dispatches eliminated.
     /// `None` until the profiling (first) run completes or when
     /// `dop_fusion` is off.
-    pub fn dop_fusion_report(&self) -> Option<&jvm_vm::fuse::FusionReport> {
+    pub fn dop_fusion_report(&self) -> Option<&FusionReport> {
         self.dop_fusion_report.as_ref()
     }
 
@@ -664,11 +575,12 @@ impl<'p> TracingVm<'p> {
     ///
     /// Panics if the VM runs in shared-cache mode.
     pub fn snapshot(&self) -> Vec<u8> {
+        let e = &self.engine;
         assert!(
-            self.shared.is_none(),
+            e.shared.is_none(),
             "snapshot() captures the private profile/cache; this VM is in shared mode"
         );
-        Snapshot::capture(program_hash(self.program), &self.bcg, &self.cache).to_bytes()
+        Snapshot::capture(program_hash(e.program), &e.bcg, &e.cache).to_bytes()
     }
 
     /// Warm boot: decodes a snapshot, **merges** its profile into the
@@ -677,7 +589,7 @@ impl<'p> TracingVm<'p> {
     /// so stale counts age out at the next slow-path visit instead of
     /// pinning predictions), restores the cache contents — budget sweep
     /// and quarantine blacklist included — and pre-builds artifacts for
-    /// every restored trace against the frozen decoded program.
+    /// every restored trace.
     ///
     /// No partial state on failure: every decode and validation error
     /// surfaces before the profiler or cache is touched.
@@ -691,17 +603,18 @@ impl<'p> TracingVm<'p> {
     ///
     /// Panics if the VM runs in shared-cache mode.
     pub fn load_snapshot(&mut self, bytes: &[u8]) -> Result<WarmBootReport, SnapshotError> {
+        let e = &mut self.engine;
         assert!(
-            self.shared.is_none(),
+            e.shared.is_none(),
             "load_snapshot() targets the private profile/cache; this VM is in shared mode"
         );
-        let snap = SnapshotReader::new().read(bytes, program_hash(self.program))?;
+        let snap = SnapshotReader::new().read(bytes, program_hash(e.program))?;
         // `merge_into` validates the profile image before mutating, and
         // the cache image was validated by the reader, so from here on
         // nothing fails.
-        let merge = trace_bcg::image::merge_into(&mut self.bcg, &snap.bcg)?;
-        let restore = snap.cache.restore_into(&mut self.cache)?;
-        let artifacts_prebuilt = self.prebuild_artifacts();
+        let merge = trace_bcg::image::merge_into(&mut e.bcg, &snap.bcg)?;
+        let restore = snap.cache.restore_into(&mut e.cache)?;
+        let artifacts_prebuilt = e.prebuild_artifacts(&self.decoded);
         Ok(WarmBootReport {
             nodes_merged: merge.nodes_merged,
             nodes_created: merge.nodes_created,
@@ -730,20 +643,21 @@ impl<'p> TracingVm<'p> {
     ///
     /// Panics if the VM runs in shared-cache mode.
     pub fn aot_replay(&mut self, bytes: &[u8]) -> Result<WarmBootReport, SnapshotError> {
+        let e = &mut self.engine;
         assert!(
-            self.shared.is_none(),
+            e.shared.is_none(),
             "aot_replay() targets the private profile/cache; this VM is in shared mode"
         );
-        let snap = SnapshotReader::new().read(bytes, program_hash(self.program))?;
-        let merge = trace_bcg::image::merge_into(&mut self.bcg, &snap.bcg)?;
-        self.cache.set_budget(snap.cache.budget.map(|b| b as usize));
+        let snap = SnapshotReader::new().read(bytes, program_hash(e.program))?;
+        let merge = trace_bcg::image::merge_into(&mut e.bcg, &snap.bcg)?;
+        e.cache.set_budget(snap.cache.budget.map(|b| b as usize));
         let mut quarantine_restored = 0;
         for q in &snap.cache.quarantine {
-            self.cache
+            e.cache
                 .restore_quarantine(q.entry, q.blocks.clone(), q.cooldown);
             quarantine_restored += 1;
         }
-        let signals: Vec<Signal> = self
+        let signals: Vec<Signal> = e
             .bcg
             .iter()
             .filter(|(_, n)| n.state().is_traceable())
@@ -756,11 +670,11 @@ impl<'p> TracingVm<'p> {
                 },
             })
             .collect();
-        let admitted = self
+        let admitted = e
             .constructor
-            .handle_batch(&signals, &mut self.bcg, &mut self.cache);
-        let links_installed = self.cache.iter_links().count();
-        let artifacts_prebuilt = self.prebuild_artifacts();
+            .handle_batch(&signals, &mut e.bcg, &mut e.cache);
+        let links_installed = e.cache.iter_links().count();
+        let artifacts_prebuilt = e.prebuild_artifacts(&self.decoded);
         Ok(WarmBootReport {
             nodes_merged: merge.nodes_merged,
             nodes_created: merge.nodes_created,
@@ -770,13 +684,91 @@ impl<'p> TracingVm<'p> {
             artifacts_prebuilt,
         })
     }
+}
 
-    /// Pre-builds artifacts for every linked trace that lacks one, using
-    /// the frozen decoded lowering for the non-register fallback (see
-    /// [`Self::build_artifact`]); traces the frozen path refuses lower
-    /// lazily at their first dispatch instead. Returns how many
-    /// artifacts were built.
-    fn prebuild_artifacts(&mut self) -> usize {
+impl BlockHook for Engine<'_> {
+    const YIELDS: bool = true;
+
+    /// One dispatch per basic block: profiler hook + trace entry check.
+    /// Returns [`Flow::Resume`] after running a trace, [`Flow::Continue`]
+    /// to fall into the block body.
+    #[inline]
+    fn on_block(&mut self, bid: BlockId, st: &mut RunState<'_>) -> Result<Flow, VmError> {
+        if self.profile_fusion {
+            self.block_visits.counts[bid.func.index()][bid.block as usize] += 1;
+        }
+        let node = self.bcg.observe(bid);
+        self.dispatch_signals();
+        if self.config.health {
+            // The health ladder is synced to the profiler's decay
+            // window: flush outcomes + run the demotion epoch when the
+            // dispatch count crosses an epoch boundary.
+            let epoch = self.bcg.decay_epoch();
+            if epoch != self.last_health_epoch {
+                self.last_health_epoch = epoch;
+                self.flush_health_epoch();
+            }
+        }
+        let Some(prev) = self.prev_block.replace(bid) else {
+            self.trace_stats.blocks_outside += 1;
+            return Ok(Flow::Continue);
+        };
+        let entry = (prev, bid);
+        // Entry check through the BCG node's trace-link slot: a version
+        // compare against the cache, no hashing. (In private mode signals
+        // were just handled, so a trace built by this very dispatch is
+        // immediately enterable — the slot revalidates on the version
+        // bump. In shared mode the slot stamp makes the lock-free probe
+        // one version compare on the steady state.)
+        let tid = {
+            let store = store_mut(&mut self.shared, &mut self.cache);
+            match node {
+                Some(n) => store.lookup_entry_cached(&mut self.bcg, n),
+                None => store.lookup_entry(entry),
+            }
+        };
+        let ran = match tid {
+            Some(tid) if self.shared.is_some() => match self.shared_lowered_for(tid, entry) {
+                Some(art) => Some((tid, self.execute(&art, prev, st)?)),
+                None => None,
+            },
+            Some(tid) => match self.artifact(tid, st.decoded) {
+                Some(art) => Some((tid, self.execute(&art, prev, st)?)),
+                None => None,
+            },
+            None => None,
+        };
+        let Some((tid, ran)) = ran else {
+            self.trace_stats.blocks_outside += 1;
+            return Ok(Flow::Continue);
+        };
+        if self.trace_stats.first_entry_dispatch == 0 {
+            // Warm-up marker: how many block dispatches this run paid
+            // before the very first trace entry.
+            self.trace_stats.first_entry_dispatch = st.stats.block_dispatches;
+        }
+        match ran {
+            TraceRun::SideExited { immediate, site } => {
+                self.note_outcome(tid, entry, TraceOutcome::SideExit { site });
+                if immediate {
+                    self.note_immediate_entry_exit(tid, entry);
+                } else {
+                    self.entry_exit_streak = None;
+                }
+            }
+            TraceRun::Completed => {
+                self.note_outcome(tid, entry, TraceOutcome::Completed);
+                self.entry_exit_streak = None;
+            }
+        }
+        Ok(Flow::Resume)
+    }
+}
+
+impl Engine<'_> {
+    /// Pre-builds artifacts for every linked trace that lacks one (see
+    /// [`Self::build_artifact`]). Returns how many artifacts were built.
+    fn prebuild_artifacts(&mut self, decoded: &DecodedProgram) -> usize {
         let mut tids: Vec<TraceId> = self
             .cache
             .iter_links()
@@ -786,26 +778,22 @@ impl<'p> TracingVm<'p> {
         tids.dedup();
         let mut built = 0;
         for tid in tids {
-            if self.lowered.contains_key(&tid) || self.uncompilable.contains(&tid) {
-                continue;
-            }
-            if let Some(artifact) = self.build_artifact(tid, true) {
-                self.lowered.insert(tid, Rc::new(artifact));
+            if matches!(self.slot(tid), ArtifactSlot::Unbuilt)
+                && self.artifact(tid, decoded).is_some()
+            {
                 built += 1;
             }
         }
         built
     }
 
-    /// Fuel + instruction accounting, shared by interpreter and trace
-    /// execution.
-    #[inline]
-    fn tick(&mut self) -> Result<(), VmError> {
-        if self.stats.instructions >= self.config.jit.vm.max_steps {
-            return Err(VmError::OutOfFuel);
+    /// The artifact-table slot of `tid`, growing the table on demand.
+    fn slot(&mut self, tid: TraceId) -> &mut ArtifactSlot {
+        let i = tid.index();
+        if i >= self.artifacts.len() {
+            self.artifacts.resize(i + 1, ArtifactSlot::Unbuilt);
         }
-        self.stats.instructions += 1;
-        Ok(())
+        &mut self.artifacts[i]
     }
 
     /// Drains pending profiler signals and routes them: inline
@@ -854,7 +842,6 @@ impl<'p> TracingVm<'p> {
         if streak >= ENTRY_EXIT_STREAK_LIMIT {
             self.entry_exit_streak = None;
             store_mut(&mut self.shared, &mut self.cache).quarantine(entry, QUARANTINE_COOLDOWN);
-            self.hot_trace = None;
             self.hot_shared = None;
         } else {
             self.entry_exit_streak = Some((tid, streak));
@@ -893,7 +880,7 @@ impl<'p> TracingVm<'p> {
 
     /// Epoch boundary: feed buffered outcomes to the health ledger and
     /// run the demotion ladder through the unified [`TraceStore`] path.
-    /// Any applied demotion invalidates the monomorphic hot-trace memos
+    /// Any applied demotion invalidates the shared-mode hot-artifact memo
     /// and the streak counter — the retired trace must not be served
     /// from a stale handle.
     fn flush_health_epoch(&mut self) {
@@ -902,55 +889,41 @@ impl<'p> TracingVm<'p> {
         let applied = run_health_epoch(store);
         self.outcome_buf.clear();
         if applied > 0 {
-            self.hot_trace = None;
             self.hot_shared = None;
             self.entry_exit_streak = None;
         }
     }
 
-    /// Resolves a linked trace id to its lowered form, compiling
-    /// (optimizing, register-lowering or fusing as configured) and
-    /// lowering on first use; refreshes the monomorphic hot-trace cache
-    /// on success. Register lowering runs on the post-opt, pre-fusion
-    /// code (its own pass subsumes fusion's stack-traffic wins); traces
-    /// it refuses fall back to fusion + decoded lowering.
-    fn lowered_for(&mut self, tid: TraceId) -> Option<Rc<TraceArtifact>> {
-        if let Some((hot_tid, art)) = &self.hot_trace {
-            if *hot_tid == tid {
-                return Some(Rc::clone(art));
-            }
+    /// Resolves a linked private-mode trace id to its artifact through
+    /// the artifact table, compiling on first use. `None` means the
+    /// trace is never entered.
+    #[inline]
+    fn artifact(&mut self, tid: TraceId, decoded: &DecodedProgram) -> Option<Rc<TraceArtifact>> {
+        match self.artifacts.get(tid.index()) {
+            Some(ArtifactSlot::Built(art)) => return Some(Rc::clone(art)),
+            Some(ArtifactSlot::Refused) => return None,
+            _ => {}
         }
-        if self.uncompilable.contains(&tid) {
-            return None;
-        }
-        if !self.lowered.contains_key(&tid) {
-            match self.build_artifact(tid, false) {
-                Some(artifact) => {
-                    self.lowered.insert(tid, Rc::new(artifact));
-                }
-                None => return None,
-            }
-        }
-        let art = Rc::clone(&self.lowered[&tid]);
-        self.hot_trace = Some((tid, Rc::clone(&art)));
-        Some(art)
+        let built = self.build_artifact(tid, decoded);
+        *self.slot(tid) = match &built {
+            Some(art) => ArtifactSlot::Built(Rc::clone(art)),
+            None => ArtifactSlot::Refused,
+        };
+        built
     }
 
     /// Compiles + lowers the artifact for a linked trace: optimize (as
     /// configured), register-lower, or fall back to superinstruction
-    /// fusion + decoded lowering. With `frozen` the decoded fallback
-    /// refuses to mutate the decoded streams (it interns nothing) and
-    /// returns `None` when it can't — the snapshot prebuild path uses
-    /// this, leaving refused traces to lower lazily at first dispatch.
-    /// Marks the trace uncompilable (permanently) on a compile error.
-    fn build_artifact(&mut self, tid: TraceId, frozen: bool) -> Option<TraceArtifact> {
-        let mut ct = match compile(self.program, self.cache.trace(tid)) {
-            Ok(ct) => ct,
-            Err(_) => {
-                self.uncompilable.insert(tid);
-                return None;
-            }
-        };
+    /// fusion + decoded lowering. The decoded streams are read-only
+    /// while the loop runs, so the fallback lowers frozen: a trace that
+    /// needs a constant the pools lack is refused (and counted). `None`
+    /// on a compile error or a refusal.
+    fn build_artifact(
+        &mut self,
+        tid: TraceId,
+        decoded: &DecodedProgram,
+    ) -> Option<Rc<TraceArtifact>> {
+        let mut ct = compile(self.program, self.cache.trace(tid)).ok()?;
         if self.config.optimize {
             let s = optimize_trace(&mut ct);
             self.opt_stats.before += s.before;
@@ -961,38 +934,35 @@ impl<'p> TracingVm<'p> {
             self.opt_stats.reductions += s.reductions;
         }
         let reg = if self.config.reg_ir {
-            lower_reg(self.program, &self.decoded, &ct)
+            lower_reg(self.program, decoded, &ct)
         } else {
             None
         };
-        match reg {
-            Some(rt) => {
-                let s = rt.stats;
-                self.reg_stats.before += s.before;
-                self.reg_stats.after += s.after;
-                self.reg_stats.regs += s.regs;
-                self.reg_stats.eliminated += s.eliminated;
-                self.reg_stats.guards_fused += s.guards_fused;
-                Some(TraceArtifact::Reg(rt))
-            }
+        if let Some(rt) = reg {
+            let s = rt.stats;
+            self.reg_stats.before += s.before;
+            self.reg_stats.after += s.after;
+            self.reg_stats.regs += s.regs;
+            self.reg_stats.eliminated += s.eliminated;
+            self.reg_stats.guards_fused += s.guards_fused;
+            return Some(Rc::new(TraceArtifact::Reg(rt)));
+        }
+        if self.config.superinstructions {
+            let s = fuse_trace(&mut ct);
+            self.fuse_stats.before += s.before;
+            self.fuse_stats.after += s.after;
+            self.fuse_stats.fused_groups += s.fused_groups;
+        }
+        match lower_trace_frozen(self.program, decoded, &ct) {
+            Some(lt) => Some(Rc::new(TraceArtifact::Decoded(lt))),
             None => {
-                if self.config.superinstructions {
-                    let s = fuse_trace(&mut ct);
-                    self.fuse_stats.before += s.before;
-                    self.fuse_stats.after += s.after;
-                    self.fuse_stats.fused_groups += s.fused_groups;
-                }
-                if frozen {
-                    lower_trace_frozen(self.program, &self.decoded, &ct).map(TraceArtifact::Decoded)
-                } else {
-                    let lt = lower_trace(self.program, &mut self.decoded, &ct);
-                    Some(TraceArtifact::Decoded(lt))
-                }
+                self.frozen_refused += 1;
+                None
             }
         }
     }
 
-    /// Shared-mode analogue of [`Self::lowered_for`]: resolves a
+    /// Shared-mode analogue of [`Self::artifact`]: resolves a
     /// shared-cache id to its published artifact through a per-VM memo.
     /// Both outcomes are permanent for a given id (the builder runs once
     /// per hash-consed chain, and ids are never reused), so the memo
@@ -1054,162 +1024,212 @@ impl<'p> TracingVm<'p> {
         Some(art)
     }
 
-    /// Executes one lowered trace.
+    /// Runs one artifact entered from block `pre_entry`.
+    #[inline]
+    fn execute(
+        &mut self,
+        art: &TraceArtifact,
+        pre_entry: BlockId,
+        st: &mut RunState<'_>,
+    ) -> Result<TraceRun, VmError> {
+        self.trace_stats.entered += 1;
+        match art {
+            TraceArtifact::Reg(rt) => self.execute_reg_trace(rt, pre_entry, st),
+            TraceArtifact::Decoded(lt) => self.execute_trace(lt, pre_entry, st),
+        }
+    }
+
+    /// Side-exit bookkeeping shared by both executors: re-anchors the top
+    /// frame at the guarded instruction `dpc` of block `block` and
+    /// accounts for that block's dispatch **eagerly** — the resume pc
+    /// sits past the block's entry marker, so the loop will not re-fire
+    /// it — in the exact order the loop would (dispatch count, observe,
+    /// signal handling, prev-block update, outside-block count). The
+    /// resumed block never re-enters the trace whose guard just failed:
+    /// the remainder of the block runs in the loop before the next
+    /// dispatch point, as in the real system.
+    fn side_exit(
+        &mut self,
+        st: &mut RunState<'_>,
+        (func, dpc, block): (FuncId, u32, u32),
+        src_blocks: &[BlockId],
+        pre_entry: BlockId,
+        blocks_done: u32,
+        instrs: u64,
+    ) -> TraceRun {
+        {
+            let t = st.arena.top_mut();
+            debug_assert_eq!(t.func, func);
+            t.pc = dpc;
+        }
+        self.trace_stats.exited_early += 1;
+        self.trace_stats.blocks_in_partial += u64::from(blocks_done);
+        self.trace_stats.instrs_in_partial += instrs;
+        let prev = match blocks_done {
+            0 => pre_entry,
+            n => src_blocks[n as usize - 1],
+        };
+        self.bcg.set_context(prev);
+        st.stats.block_dispatches += 1;
+        let bid = BlockId::new(func, block);
+        let _ = self.bcg.observe(bid);
+        self.dispatch_signals();
+        self.prev_block = Some(bid);
+        self.trace_stats.blocks_outside += 1;
+        TraceRun::SideExited {
+            immediate: blocks_done == 0,
+            site: blocks_done,
+        }
+    }
+
+    /// Completion bookkeeping shared by both executors: the top frame is
+    /// re-anchored at the final terminator (`dpc`), which the loop
+    /// executes and charges fuel for after [`Flow::Resume`]; it counts
+    /// as an in-trace instruction here.
+    fn complete(
+        &mut self,
+        st: &mut RunState<'_>,
+        dpc: u32,
+        src_blocks: &[BlockId],
+        instrs: u64,
+    ) -> TraceRun {
+        st.arena.top_mut().pc = dpc;
+        self.trace_stats.completed += 1;
+        self.trace_stats.blocks_in_completed += src_blocks.len() as u64;
+        self.trace_stats.instrs_in_completed += instrs + 1;
+        let last = *src_blocks.last().expect("traces are nonempty");
+        self.bcg.set_context(last);
+        self.prev_block = Some(last);
+        TraceRun::Completed
+    }
+
+    /// Executes one decoded-form trace on the loop's frames.
     fn execute_trace(
         &mut self,
         lt: &LoweredTrace,
-        pre_entry: Option<BlockId>,
+        pre_entry: BlockId,
+        st: &mut RunState<'_>,
     ) -> Result<TraceRun, VmError> {
-        self.trace_stats.entered += 1;
-        let mut blocks_done = 0u64;
+        let max_steps = st.config.max_steps;
+        let mut blocks_done = 0u32;
         let mut instrs = 0u64;
 
+        // Charges `$n` instructions of fuel, one at a time.
+        macro_rules! charge {
+            ($n:expr) => {{
+                for _ in 0..$n {
+                    if st.stats.instructions >= max_steps {
+                        return Err(VmError::OutOfFuel);
+                    }
+                    st.stats.instructions += 1;
+                }
+            }};
+        }
+        macro_rules! tick {
+            ($n:expr) => {{
+                charge!($n);
+                instrs += $n;
+            }};
+        }
+        // A guard whose operands trap: the branch or call it guards
+        // would have been charged before trapping.
+        macro_rules! guard_trap {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => {
+                        charge!(1);
+                        return Err(e);
+                    }
+                }
+            };
+        }
         macro_rules! side_exit {
             ($exit:expr) => {{
-                let exit = $exit;
-                {
-                    let f = self.frames.last_mut().expect("frame exists");
-                    debug_assert_eq!(f.func, exit.func);
-                    f.pc = exit.dpc;
-                }
-                self.trace_stats.exited_early += 1;
-                self.trace_stats.blocks_in_partial += blocks_done;
-                self.trace_stats.instrs_in_partial += instrs;
-                let prev = if blocks_done == 0 {
-                    pre_entry
-                } else {
-                    Some(lt.src_blocks[blocks_done as usize - 1])
-                };
-                if let Some(p) = prev {
-                    self.bcg.set_context(p);
-                } else {
-                    self.bcg.begin_stream();
-                }
-                // The resume pc sits past its block's entry marker, so
-                // the out-of-trace loop will not re-fire the dispatch:
-                // account for it eagerly, in the exact order the loop
-                // would (dispatch count, observe, signal handling,
-                // prev-block update, outside-block count). The resumed
-                // block never re-enters the trace whose guard just failed
-                // — the remainder of the block runs in interpreter code
-                // before the next dispatch point, as in the real system.
-                self.stats.block_dispatches += 1;
-                let bid = BlockId::new(exit.func, exit.block);
-                let _ = self.bcg.observe(bid);
-                self.dispatch_signals();
-                self.prev_block = Some(bid);
-                self.trace_stats.blocks_outside += 1;
-                return Ok(TraceRun::SideExited {
-                    immediate: blocks_done == 0,
-                    site: u32::try_from(blocks_done).unwrap_or(u32::MAX),
-                });
+                let x = $exit;
+                let src = &lt.src_blocks;
+                let site = (x.func, x.dpc, x.block);
+                return Ok(self.side_exit(st, site, src, pre_entry, blocks_done, instrs));
+            }};
+        }
+        // Top-of-stack slab index and the frame's locals base.
+        macro_rules! top {
+            () => {{
+                let t = st.arena.top();
+                (t.sp as usize, t.base as usize)
             }};
         }
 
         for t in lt.code.iter() {
             match t {
                 XInstr::Op(d) => {
-                    self.tick()?;
-                    instrs += 1;
-                    match self.exec(*d)? {
-                        Step::Ok => {}
-                        Step::Finished(_) => unreachable!("Op is never control"),
-                    }
+                    tick!(1);
+                    exec_straightline(*d, st)?;
                 }
                 XInstr::Fused(f) => {
                     // Accounting-transparent: the group costs its full
-                    // source width in fuel and instruction counts.
+                    // source width in fuel and instruction counts. Only
+                    // `BinStore` can trap before its last constituent (in
+                    // its binop, the first).
                     let w = f.width();
-                    for _ in 0..w {
-                        self.tick()?;
-                    }
-                    instrs += w;
-                    let frame = self.frames.last_mut().expect("frame exists");
+                    let trap_at = if matches!(f, Fused::BinStore { .. }) {
+                        1
+                    } else {
+                        w
+                    };
+                    tick!(trap_at);
+                    let (mut sp, base) = top!();
+                    let slab = &mut st.arena.slab;
+                    let local = |slot: u16| base + slot as usize;
                     match *f {
                         Fused::LLBin { a, b, op } => {
                             // Type errors surface in the pop order the
                             // unfused sequence would use (right first).
-                            let vb = frame.locals[b as usize].as_int()?;
-                            let va = frame.locals[a as usize].as_int()?;
-                            frame.stack.push(Value::Int(op.apply(va, vb)));
+                            let vb = slab[local(b)].as_int()?;
+                            let va = slab[local(a)].as_int()?;
+                            slab[sp] = Value::Int(op.apply(va, vb));
+                            sp += 1;
                         }
                         Fused::LCBin { a, c, op } => {
-                            let va = frame.locals[a as usize].as_int()?;
-                            frame.stack.push(Value::Int(op.apply(va, c)));
+                            let va = slab[local(a)].as_int()?;
+                            slab[sp] = Value::Int(op.apply(va, c));
+                            sp += 1;
                         }
                         Fused::BinStore { op, d } => {
-                            let vb = frame.stack.pop().expect("verified").as_int()?;
-                            let va = frame.stack.pop().expect("verified").as_int()?;
-                            frame.locals[d as usize] = Value::Int(op.apply(va, vb));
+                            let vb = slab[sp - 1].as_int()?;
+                            let va = slab[sp - 2].as_int()?;
+                            sp -= 2;
+                            slab[local(d)] = Value::Int(op.apply(va, vb));
                         }
-                        Fused::Move { a, d } => {
-                            frame.locals[d as usize] = frame.locals[a as usize];
-                        }
-                        Fused::ConstStore { c, d } => {
-                            frame.locals[d as usize] = Value::Int(c);
-                        }
+                        Fused::Move { a, d } => slab[local(d)] = slab[local(a)],
+                        Fused::ConstStore { c, d } => slab[local(d)] = Value::Int(c),
                         Fused::LoadLoad { a, b } => {
-                            let va = frame.locals[a as usize];
-                            let vb = frame.locals[b as usize];
-                            frame.stack.push(va);
-                            frame.stack.push(vb);
+                            slab[sp] = slab[local(a)];
+                            slab[sp + 1] = slab[local(b)];
+                            sp += 2;
                         }
                         Fused::ArrayGet { arr, idx } => {
                             // Checks in the unfused pop order: index, then
                             // array reference, then element type + bounds.
-                            let iv = frame.locals[idx as usize].as_int()?;
-                            let av = frame.locals[arr as usize].as_ref_id()?;
-                            match self.heap.get(av) {
-                                HeapObj::Array { elems } => {
-                                    if iv < 0 || iv as usize >= elems.len() {
-                                        return Err(VmError::IndexOutOfBounds {
-                                            index: iv,
-                                            len: elems.len(),
-                                        });
-                                    }
-                                    frame.stack.push(elems[iv as usize]);
-                                }
-                                HeapObj::Object { .. } => {
-                                    return Err(VmError::TypeError {
-                                        expected: "array",
-                                        found: "object",
-                                    })
-                                }
-                            }
+                            let iv = slab[local(idx)].as_int()?;
+                            let av = slab[local(arr)].as_ref_id()?;
+                            slab[sp] = array_elem(&st.heap, av, iv)?;
+                            sp += 1;
                         }
                         Fused::ArraySet { arr, idx, val } => {
-                            let v = frame.locals[val as usize];
-                            let iv = frame.locals[idx as usize].as_int()?;
-                            let av = frame.locals[arr as usize].as_ref_id()?;
-                            match self.heap.get_mut(av) {
-                                HeapObj::Array { elems } => {
-                                    if iv < 0 || iv as usize >= elems.len() {
-                                        return Err(VmError::IndexOutOfBounds {
-                                            index: iv,
-                                            len: elems.len(),
-                                        });
-                                    }
-                                    elems[iv as usize] = v;
-                                }
-                                HeapObj::Object { .. } => {
-                                    return Err(VmError::TypeError {
-                                        expected: "array",
-                                        found: "object",
-                                    })
-                                }
-                            }
+                            let v = slab[local(val)];
+                            let iv = slab[local(idx)].as_int()?;
+                            let av = slab[local(arr)].as_ref_id()?;
+                            *array_elem_mut(&mut st.heap, av, iv)? = v;
                         }
                     }
-                    frame.pc += w as u32;
+                    st.arena.top_mut().sp = sp as u32;
+                    tick!(w - trap_at);
                 }
-                XInstr::FallThrough => {
-                    blocks_done += 1;
-                }
+                XInstr::FallThrough => blocks_done += 1,
                 XInstr::Jump { target } => {
-                    self.tick()?;
-                    instrs += 1;
-                    let f = self.frames.last_mut().expect("frame exists");
-                    f.pc = *target;
+                    tick!(1);
+                    st.arena.top_mut().pc = *target;
                     blocks_done += 1;
                 }
                 XInstr::GuardCond {
@@ -1218,23 +1238,24 @@ impl<'p> TracingVm<'p> {
                     target,
                     exit,
                 } => {
-                    let taken = self.eval_cond(*kind)?;
+                    // Operands are peeked; a failed guard resumes at the
+                    // branch, which pops them.
+                    let (sp, _) = top!();
+                    let slab = &st.arena.slab;
+                    let taken = guard_trap!(kind.taken(slab[sp - kind.arity()], slab[sp - 1]));
                     if taken != *expected_taken {
-                        side_exit!(*exit);
+                        side_exit!(exit);
                     }
-                    self.tick()?;
-                    instrs += 1;
-                    self.stats.branches += 1;
-                    let f = self.frames.last_mut().expect("frame exists");
-                    for _ in 0..kind.arity() {
-                        f.stack.pop();
-                    }
+                    tick!(1);
+                    st.stats.branches += 1;
+                    let t = st.arena.top_mut();
+                    t.sp -= kind.arity() as u32;
                     if taken {
-                        self.stats.taken_branches += 1;
-                        f.pc = *target;
+                        st.stats.taken_branches += 1;
+                        t.pc = *target;
                     } else {
                         // Decoded fall-through: the next block's marker.
-                        f.pc = exit.dpc + 1;
+                        t.pc = exit.dpc + 1;
                     }
                     blocks_done += 1;
                 }
@@ -1245,8 +1266,8 @@ impl<'p> TracingVm<'p> {
                     expected,
                     exit,
                 } => {
-                    let f = self.frames.last().expect("frame exists");
-                    let v = f.stack.last().expect("verified").as_int()?;
+                    let (sp, _) = top!();
+                    let v = guard_trap!(st.arena.slab[sp - 1].as_int());
                     let idx = v.wrapping_sub(*low);
                     let actual = if idx >= 0 && (idx as usize) < targets.len() {
                         targets[idx as usize]
@@ -1254,27 +1275,20 @@ impl<'p> TracingVm<'p> {
                         *default
                     };
                     if actual != *expected {
-                        side_exit!(*exit);
+                        side_exit!(exit);
                     }
-                    self.tick()?;
-                    instrs += 1;
-                    self.stats.branches += 1;
-                    self.stats.taken_branches += 1;
-                    let f = self.frames.last_mut().expect("frame exists");
-                    f.stack.pop();
-                    f.pc = *expected;
+                    tick!(1);
+                    st.stats.branches += 1;
+                    st.stats.taken_branches += 1;
+                    let t = st.arena.top_mut();
+                    t.sp -= 1;
+                    t.pc = *expected;
                     blocks_done += 1;
                 }
                 XInstr::EnterStatic { callee, ret } => {
-                    self.tick()?;
-                    instrs += 1;
-                    {
-                        let f = self.frames.last_mut().expect("frame exists");
-                        f.pc = *ret;
-                    }
-                    // The callee starts past its entry marker: its block-0
-                    // dispatch is absorbed by the trace.
-                    self.push_call(*callee, 1)?;
+                    tick!(1);
+                    st.arena.top_mut().pc = *ret;
+                    enter_call(st, *callee)?;
                     blocks_done += 1;
                 }
                 XInstr::GuardVirtual {
@@ -1284,30 +1298,16 @@ impl<'p> TracingVm<'p> {
                     ret,
                     exit,
                 } => {
-                    let f = self.frames.last().expect("frame exists");
-                    let recv_idx = f.stack.len() - *argc as usize;
-                    let recv = f.stack[recv_idx].as_ref_id()?;
-                    let class = match self.heap.get(recv) {
-                        HeapObj::Object { class, .. } => *class,
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object receiver",
-                                found: "array",
-                            })
-                        }
-                    };
-                    let callee = self.program.class(class).resolve(*slot);
+                    let (sp, _) = top!();
+                    let recv = guard_trap!(st.arena.slab[sp - *argc as usize].as_ref_id());
+                    let callee = guard_trap!(resolve_virtual(st, recv, *slot));
                     if callee != *expected {
-                        side_exit!(*exit);
+                        side_exit!(exit);
                     }
-                    self.tick()?;
-                    instrs += 1;
-                    self.stats.virtual_calls += 1;
-                    {
-                        let f = self.frames.last_mut().expect("frame exists");
-                        f.pc = *ret;
-                    }
-                    self.push_call(callee, 1)?;
+                    tick!(1);
+                    st.stats.virtual_calls += 1;
+                    st.arena.top_mut().pc = *ret;
+                    enter_call(st, callee)?;
                     blocks_done += 1;
                 }
                 XInstr::GuardReturn {
@@ -1315,78 +1315,29 @@ impl<'p> TracingVm<'p> {
                     has_value,
                     exit,
                 } => {
-                    if self.frames.len() < 2 {
-                        // Returning from the outermost frame ends the
-                        // program; hand it to the interpreter.
-                        side_exit!(*exit);
+                    if !returns_to(st, *expected) {
+                        side_exit!(exit);
                     }
-                    let caller = &self.frames[self.frames.len() - 2];
-                    let cont = BlockId::new(
-                        caller.func,
-                        self.decoded.func(caller.func).block_of[caller.pc as usize],
-                    );
-                    if cont != *expected {
-                        side_exit!(*exit);
-                    }
-                    self.tick()?;
-                    instrs += 1;
-                    self.stats.returns += 1;
-                    let mut frame = self.frames.pop().expect("frame exists");
-                    if *has_value {
-                        let v = frame.stack.pop().expect("verified");
-                        self.frames.last_mut().expect("caller exists").stack.push(v);
+                    tick!(1);
+                    st.stats.returns += 1;
+                    let v = has_value.then(|| {
+                        let t = st.arena.top_mut();
+                        t.sp -= 1;
+                        t.sp
+                    });
+                    st.arena.pop_frame();
+                    if let Some(i) = v {
+                        let v = st.arena.slab[i as usize];
+                        push_real(&mut st.arena, v);
                     }
                     blocks_done += 1;
                 }
-                XInstr::Finish { op: d, exit } => {
-                    {
-                        let f = self.frames.last_mut().expect("frame exists");
-                        f.pc = exit.dpc;
-                    }
-                    self.tick()?;
-                    instrs += 1;
-                    blocks_done += 1;
-                    match self.exec(*d)? {
-                        Step::Ok => {}
-                        Step::Finished(v) => {
-                            self.trace_stats.completed += 1;
-                            self.trace_stats.blocks_in_completed += blocks_done;
-                            self.trace_stats.instrs_in_completed += instrs;
-                            return Ok(TraceRun::Finished(v));
-                        }
-                    }
+                XInstr::Finish { exit, .. } => {
+                    return Ok(self.complete(st, exit.dpc, &lt.src_blocks, instrs));
                 }
             }
         }
-
-        // Trace ran to completion.
-        self.trace_stats.completed += 1;
-        self.trace_stats.blocks_in_completed += blocks_done;
-        self.trace_stats.instrs_in_completed += instrs;
-        let last = *lt.src_blocks.last().expect("traces are nonempty");
-        self.bcg.set_context(last);
-        self.prev_block = Some(last);
-        Ok(TraceRun::Completed)
-    }
-
-    /// Writes a frame image back into the current frame: dirty locals
-    /// first, then the register stack on top of the frame's real prefix.
-    /// Used at side exits (full deopt), calls (arguments cross the real
-    /// stack) and allocations (collection roots).
-    #[inline]
-    fn materialize(&mut self, image: &FrameImage, regs: &[Value]) {
-        let f = self.frames.last_mut().expect("frame exists");
-        for &(slot, r) in image.dirty.iter() {
-            f.locals[slot as usize] = rget(regs, r);
-        }
-        debug_assert_eq!(
-            f.stack.len(),
-            image.base as usize,
-            "real stack prefix must match the lowering's model"
-        );
-        for &r in image.stack.iter() {
-            f.stack.push(rget(regs, r));
-        }
+        unreachable!("compiled traces end in Finish")
     }
 
     /// Executes one register-lowered trace in the tight register-file
@@ -1397,18 +1348,9 @@ impl<'p> TracingVm<'p> {
     fn execute_reg_trace(
         &mut self,
         rt: &RegTrace,
-        pre_entry: Option<BlockId>,
+        pre_entry: BlockId,
+        st: &mut RunState<'_>,
     ) -> Result<TraceRun, VmError> {
-        self.trace_stats.entered += 1;
-        let mut instrs = 0u64;
-        let max_steps = self.config.jit.vm.max_steps;
-        // Fuel is accounted against a local budget while inside the
-        // trace — per-instruction ticking compares two values the
-        // compiler keeps in registers — and folded back into the
-        // engine-wide counter once per exit path. Nothing reached from
-        // inside the loop reads `stats.instructions` (tick() is never
-        // called here), so the deferred sync is unobservable.
-        let budget = max_steps - self.stats.instructions;
         let mut regs = std::mem::take(&mut self.reg_file);
         // The lowering is single-assignment: every non-constant register
         // is written before it is read, so stale values from an earlier
@@ -1422,73 +1364,86 @@ impl<'p> TracingVm<'p> {
         for &(r, v) in &rt.consts {
             rset(&mut regs, r, v);
         }
+        let mut instrs = 0u64;
+        let run = self.run_reg_trace(rt, pre_entry, st, &mut regs, &mut instrs);
+        self.reg_file = regs;
+        // Fuel is counted against a local budget inside the trace and
+        // folded into the run-wide counter here, on every way out, traps
+        // included. Nothing the trace reaches reads the counter.
+        if matches!(run, Err(VmError::OutOfFuel)) {
+            // Saturate exactly where per-op ticking would stop.
+            st.stats.instructions = st.config.max_steps;
+        } else {
+            st.stats.instructions += instrs;
+        }
+        run
+    }
+
+    /// The register-file loop of [`Self::execute_reg_trace`]; `instrs`
+    /// counts the source instructions executed.
+    fn run_reg_trace(
+        &mut self,
+        rt: &RegTrace,
+        pre_entry: BlockId,
+        st: &mut RunState<'_>,
+        regs: &mut [Value],
+        instrs: &mut u64,
+    ) -> Result<TraceRun, VmError> {
+        let budget = st.config.max_steps - st.stats.instructions;
+        // Slab index of the current frame's first local.
+        let mut base = st.arena.top().base as usize;
 
         macro_rules! tick_n {
             ($n:expr) => {{
                 let n = $n as u64;
-                if n > budget - instrs {
-                    // Saturate exactly where per-op ticking would stop.
-                    self.stats.instructions = max_steps;
-                    self.reg_file = regs;
+                if n > budget - *instrs {
                     return Err(VmError::OutOfFuel);
                 }
-                instrs += n;
+                *instrs += n;
             }};
         }
-
+        // A guard whose operands trap: the branch or call it guards
+        // would have been charged before trapping.
+        macro_rules! guard_trap {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => {
+                        tick_n!(1u32);
+                        return Err(e);
+                    }
+                }
+            };
+        }
         macro_rules! reg_exit {
             ($idx:expr) => {{
-                self.stats.instructions += instrs;
                 let exit = &rt.exits[$idx as usize];
-                self.materialize(&rt.images[exit.image as usize], &regs);
-                {
-                    let f = self.frames.last_mut().expect("frame exists");
-                    debug_assert_eq!(f.func, exit.func);
-                    f.pc = exit.dpc;
-                }
-                self.trace_stats.exited_early += 1;
-                self.trace_stats.blocks_in_partial += exit.blocks_done as u64;
-                self.trace_stats.instrs_in_partial += instrs;
-                let prev = if exit.blocks_done == 0 {
-                    pre_entry
-                } else {
-                    Some(rt.src_blocks[exit.blocks_done as usize - 1])
-                };
-                if let Some(p) = prev {
-                    self.bcg.set_context(p);
-                } else {
-                    self.bcg.begin_stream();
-                }
-                // Eager resume-dispatch accounting, exactly as in
-                // `execute_trace`'s side_exit!.
-                self.stats.block_dispatches += 1;
-                let bid = BlockId::new(exit.func, exit.block);
-                let _ = self.bcg.observe(bid);
-                self.dispatch_signals();
-                self.prev_block = Some(bid);
-                self.trace_stats.blocks_outside += 1;
-                let immediate = exit.blocks_done == 0;
-                let site = exit.blocks_done;
-                self.reg_file = regs;
-                return Ok(TraceRun::SideExited { immediate, site });
+                materialize(&mut st.arena, &rt.images[exit.image as usize], regs);
+                let site = (exit.func, exit.dpc, exit.block);
+                let (src, done) = (&rt.src_blocks, exit.blocks_done);
+                return Ok(self.side_exit(st, site, src, pre_entry, done, *instrs));
             }};
         }
-
         macro_rules! bin_i {
             ($a:expr, $b:expr, $f:expr) => {{
                 // Type errors surface in interpreter pop order: right
                 // operand first.
-                let vb = rget(&regs, $b).as_int()?;
-                let va = rget(&regs, $a).as_int()?;
+                let vb = rget(regs, $b).as_int()?;
+                let va = rget(regs, $a).as_int()?;
                 Value::Int($f(va, vb))
             }};
         }
         macro_rules! bin_f {
             ($a:expr, $b:expr, $f:expr) => {{
-                let vb = rget(&regs, $b).as_float()?;
-                let va = rget(&regs, $a).as_float()?;
+                let vb = rget(regs, $b).as_float()?;
+                let va = rget(regs, $a).as_float()?;
                 Value::Float($f(va, vb))
             }};
+        }
+        macro_rules! un_f {
+            ($a:expr, $f:expr) => {
+                Value::Float($f(rget(regs, $a).as_float()?))
+            };
         }
 
         for t in rt.code.iter() {
@@ -1496,30 +1451,25 @@ impl<'p> TracingVm<'p> {
                 RInstr::PullStack { dst } => {
                     // Pure data movement from the real entry stack; no
                     // source instruction, no fuel.
-                    let v = self
-                        .frames
-                        .last_mut()
-                        .expect("frame exists")
-                        .stack
-                        .pop()
-                        .expect("lowering tracked the entry stack");
-                    rset(&mut regs, *dst, v);
+                    let top = st.arena.top_mut();
+                    debug_assert!(top.sp > top.stack_base, "lowering tracked the entry stack");
+                    top.sp -= 1;
+                    let i = top.sp as usize;
+                    rset(regs, *dst, st.arena.slab[i]);
                 }
                 RInstr::LoadLocal { slot, dst, w } => {
                     tick_n!(*w);
-                    let f = self.frames.last().expect("frame exists");
-                    rset(&mut regs, *dst, f.locals[*slot as usize]);
+                    rset(regs, *dst, st.arena.slab[base + *slot as usize]);
                 }
                 RInstr::IncLocal { slot, dst, imm, w } => {
                     tick_n!(*w);
-                    let f = self.frames.last().expect("frame exists");
-                    let v = f.locals[*slot as usize].as_int()?;
-                    rset(&mut regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
+                    let v = st.arena.slab[base + *slot as usize].as_int()?;
+                    rset(regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
                 }
                 RInstr::IncReg { src, dst, imm, w } => {
                     tick_n!(*w);
-                    let v = rget(&regs, *src).as_int()?;
-                    rset(&mut regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
+                    let v = rget(regs, *src).as_int()?;
+                    rset(regs, *dst, Value::Int(v.wrapping_add(*imm as i64)));
                 }
                 RInstr::Bin { op, a, b, dst, w } => {
                     tick_n!(*w);
@@ -1527,21 +1477,17 @@ impl<'p> TracingVm<'p> {
                         RBin::IAdd => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_add(y)),
                         RBin::ISub => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_sub(y)),
                         RBin::IMul => bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_mul(y)),
-                        RBin::IDiv => {
-                            let vb = rget(&regs, *b).as_int()?;
-                            let va = rget(&regs, *a).as_int()?;
+                        RBin::IDiv | RBin::IRem => {
+                            let vb = rget(regs, *b).as_int()?;
+                            let va = rget(regs, *a).as_int()?;
                             if vb == 0 {
                                 return Err(VmError::DivisionByZero);
                             }
-                            Value::Int(va.wrapping_div(vb))
-                        }
-                        RBin::IRem => {
-                            let vb = rget(&regs, *b).as_int()?;
-                            let va = rget(&regs, *a).as_int()?;
-                            if vb == 0 {
-                                return Err(VmError::DivisionByZero);
-                            }
-                            Value::Int(va.wrapping_rem(vb))
+                            Value::Int(if *op == RBin::IDiv {
+                                va.wrapping_div(vb)
+                            } else {
+                                va.wrapping_rem(vb)
+                            })
                         }
                         RBin::IShl => {
                             bin_i!(*a, *b, |x: i64, y: i64| x.wrapping_shl(y as u32 & 63))
@@ -1561,85 +1507,62 @@ impl<'p> TracingVm<'p> {
                         RBin::FMul => bin_f!(*a, *b, |x: f64, y: f64| x * y),
                         RBin::FDiv => bin_f!(*a, *b, |x: f64, y: f64| x / y),
                     };
-                    rset(&mut regs, *dst, v);
+                    rset(regs, *dst, v);
                 }
                 RInstr::Un { op, a, dst, w } => {
                     tick_n!(*w);
                     let v = match op {
-                        RUn::INeg => Value::Int(rget(&regs, *a).as_int()?.wrapping_neg()),
-                        RUn::FNeg => Value::Float(-rget(&regs, *a).as_float()?),
-                        RUn::I2F => Value::Float(rget(&regs, *a).as_int()? as f64),
-                        RUn::F2I => Value::Int(rget(&regs, *a).as_float()? as i64),
+                        RUn::INeg => Value::Int(rget(regs, *a).as_int()?.wrapping_neg()),
+                        RUn::FNeg => Value::Float(-rget(regs, *a).as_float()?),
+                        RUn::I2F => Value::Float(rget(regs, *a).as_int()? as f64),
+                        RUn::F2I => Value::Int(rget(regs, *a).as_float()? as i64),
                     };
-                    rset(&mut regs, *dst, v);
+                    rset(regs, *dst, v);
                 }
                 RInstr::Intrinsic { i, a, b, dst, w } => {
                     tick_n!(*w);
-                    match i {
-                        Intrinsic::Sqrt => {
-                            let v = Value::Float(rget(&regs, *a).as_float()?.sqrt());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::Sin => {
-                            let v = Value::Float(rget(&regs, *a).as_float()?.sin());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::Cos => {
-                            let v = Value::Float(rget(&regs, *a).as_float()?.cos());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::Exp => {
-                            let v = Value::Float(rget(&regs, *a).as_float()?.exp());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::Log => {
-                            let v = Value::Float(rget(&regs, *a).as_float()?.ln());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::AbsF => {
-                            let v = Value::Float(rget(&regs, *a).as_float()?.abs());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::AbsI => {
-                            let v = Value::Int(rget(&regs, *a).as_int()?.wrapping_abs());
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::MinI => {
-                            let v = bin_i!(*a, *b, |x: i64, y: i64| x.min(y));
-                            rset(&mut regs, *dst, v);
-                        }
-                        Intrinsic::MaxI => {
-                            let v = bin_i!(*a, *b, |x: i64, y: i64| x.max(y));
-                            rset(&mut regs, *dst, v);
-                        }
+                    let v = match i {
+                        Intrinsic::Sqrt => un_f!(*a, f64::sqrt),
+                        Intrinsic::Sin => un_f!(*a, f64::sin),
+                        Intrinsic::Cos => un_f!(*a, f64::cos),
+                        Intrinsic::Exp => un_f!(*a, f64::exp),
+                        Intrinsic::Log => un_f!(*a, f64::ln),
+                        Intrinsic::AbsF => un_f!(*a, f64::abs),
+                        Intrinsic::AbsI => Value::Int(rget(regs, *a).as_int()?.wrapping_abs()),
+                        Intrinsic::MinI => bin_i!(*a, *b, |x: i64, y: i64| x.min(y)),
+                        Intrinsic::MaxI => bin_i!(*a, *b, |x: i64, y: i64| x.max(y)),
                         Intrinsic::PrintInt => {
-                            let v = rget(&regs, *a).as_int()?;
-                            if self.config.jit.vm.capture_output {
-                                self.output.push(OutputItem::Int(v));
+                            let v = rget(regs, *a).as_int()?;
+                            if st.config.capture_output {
+                                st.output.push(OutputItem::Int(v));
                             }
+                            continue;
                         }
                         Intrinsic::PrintFloat => {
-                            let v = rget(&regs, *a).as_float()?;
-                            if self.config.jit.vm.capture_output {
-                                self.output.push(OutputItem::Float(v));
+                            let v = rget(regs, *a).as_float()?;
+                            if st.config.capture_output {
+                                st.output.push(OutputItem::Float(v));
                             }
+                            continue;
                         }
                         Intrinsic::Checksum => {
-                            let v = rget(&regs, *a).as_int()?;
-                            self.checksum = fold_checksum(self.checksum, v);
+                            let v = rget(regs, *a).as_int()?;
+                            st.checksum = fold_checksum(st.checksum, v);
+                            continue;
                         }
-                    }
+                    };
+                    rset(regs, *dst, v);
                 }
                 RInstr::GetField { obj, field, dst, w } => {
                     tick_n!(*w);
-                    let o = rget(&regs, *obj).as_ref_id()?;
-                    match self.heap.get(o) {
+                    let o = rget(regs, *obj).as_ref_id()?;
+                    match st.heap.get(o) {
                         HeapObj::Object { fields, .. } => {
                             let v = *fields.get(*field as usize).ok_or(VmError::BadField {
                                 field: *field,
                                 num_fields: fields.len() as u16,
                             })?;
-                            rset(&mut regs, *dst, v);
+                            rset(regs, *dst, v);
                         }
                         HeapObj::Array { .. } => {
                             return Err(VmError::TypeError {
@@ -1651,9 +1574,9 @@ impl<'p> TracingVm<'p> {
                 }
                 RInstr::PutField { obj, val, field, w } => {
                     tick_n!(*w);
-                    let o = rget(&regs, *obj).as_ref_id()?;
-                    let v = rget(&regs, *val);
-                    match self.heap.get_mut(o) {
+                    let o = rget(regs, *obj).as_ref_id()?;
+                    let v = rget(regs, *val);
+                    match st.heap.get_mut(o) {
                         HeapObj::Object { fields, .. } => {
                             let len = fields.len();
                             *fields.get_mut(*field as usize).ok_or(VmError::BadField {
@@ -1671,55 +1594,23 @@ impl<'p> TracingVm<'p> {
                 }
                 RInstr::ALoad { arr, idx, dst, w } => {
                     tick_n!(*w);
-                    let iv = rget(&regs, *idx).as_int()?;
-                    let av = rget(&regs, *arr).as_ref_id()?;
-                    match self.heap.get(av) {
-                        HeapObj::Array { elems } => {
-                            if iv < 0 || iv as usize >= elems.len() {
-                                return Err(VmError::IndexOutOfBounds {
-                                    index: iv,
-                                    len: elems.len(),
-                                });
-                            }
-                            rset(&mut regs, *dst, elems[iv as usize]);
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
-                        }
-                    }
+                    let iv = rget(regs, *idx).as_int()?;
+                    let av = rget(regs, *arr).as_ref_id()?;
+                    rset(regs, *dst, array_elem(&st.heap, av, iv)?);
                 }
                 RInstr::AStore { arr, idx, val, w } => {
                     tick_n!(*w);
-                    let v = rget(&regs, *val);
-                    let iv = rget(&regs, *idx).as_int()?;
-                    let av = rget(&regs, *arr).as_ref_id()?;
-                    match self.heap.get_mut(av) {
-                        HeapObj::Array { elems } => {
-                            if iv < 0 || iv as usize >= elems.len() {
-                                return Err(VmError::IndexOutOfBounds {
-                                    index: iv,
-                                    len: elems.len(),
-                                });
-                            }
-                            elems[iv as usize] = v;
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
-                        }
-                    }
+                    let v = rget(regs, *val);
+                    let iv = rget(regs, *idx).as_int()?;
+                    let av = rget(regs, *arr).as_ref_id()?;
+                    *array_elem_mut(&mut st.heap, av, iv)? = v;
                 }
                 RInstr::ArrayLen { arr, dst, w } => {
                     tick_n!(*w);
-                    let av = rget(&regs, *arr).as_ref_id()?;
-                    match self.heap.get(av) {
+                    let av = rget(regs, *arr).as_ref_id()?;
+                    match st.heap.get(av) {
                         HeapObj::Array { elems } => {
-                            rset(&mut regs, *dst, Value::Int(elems.len() as i64));
+                            rset(regs, *dst, Value::Int(elems.len() as i64));
                         }
                         HeapObj::Object { .. } => {
                             return Err(VmError::TypeError {
@@ -1741,30 +1632,22 @@ impl<'p> TracingVm<'p> {
                     // collect, then pull the stack back (the values stay
                     // in registers).
                     let img = &rt.images[*image as usize];
-                    self.materialize(img, &regs);
-                    self.maybe_collect();
-                    let r = self.heap.alloc_object(*class, *nfields);
-                    self.frames
-                        .last_mut()
-                        .expect("frame exists")
-                        .stack
-                        .truncate(img.base as usize);
-                    rset(&mut regs, *dst, Value::Ref(r));
+                    materialize(&mut st.arena, img, regs);
+                    maybe_collect(st);
+                    let r = st.heap.alloc_object(*class, *nfields);
+                    truncate_to_image(&mut st.arena, img);
+                    rset(regs, *dst, Value::Ref(r));
                 }
                 RInstr::NewArray { len, dst, image, w } => {
                     tick_n!(*w);
                     // The interpreter pops the length before collecting.
-                    let lv = rget(&regs, *len).as_int()?;
+                    let lv = rget(regs, *len).as_int()?;
                     let img = &rt.images[*image as usize];
-                    self.materialize(img, &regs);
-                    self.maybe_collect();
-                    let r = self.heap.alloc_array(lv)?;
-                    self.frames
-                        .last_mut()
-                        .expect("frame exists")
-                        .stack
-                        .truncate(img.base as usize);
-                    rset(&mut regs, *dst, Value::Ref(r));
+                    materialize(&mut st.arena, img, regs);
+                    maybe_collect(st);
+                    let r = st.heap.alloc_array(lv)?;
+                    truncate_to_image(&mut st.arena, img);
+                    rset(regs, *dst, Value::Ref(r));
                 }
                 RInstr::GuardCond {
                     kind,
@@ -1775,28 +1658,14 @@ impl<'p> TracingVm<'p> {
                     pre,
                 } => {
                     tick_n!(*pre);
-                    let taken = match kind {
-                        CondKind::ICmp(op) => {
-                            let vb = rget(&regs, *b).as_int()?;
-                            let va = rget(&regs, *a).as_int()?;
-                            op.eval_i64(va, vb)
-                        }
-                        CondKind::IZero(op) => op.eval_i64(rget(&regs, *a).as_int()?, 0),
-                        CondKind::FCmp(op) => {
-                            let vb = rget(&regs, *b).as_float()?;
-                            let va = rget(&regs, *a).as_float()?;
-                            op.eval_f64(va, vb)
-                        }
-                        CondKind::Null => matches!(rget(&regs, *a), Value::Null),
-                        CondKind::NonNull => !matches!(rget(&regs, *a), Value::Null),
-                    };
+                    let taken = guard_trap!(kind.taken(rget(regs, *a), rget(regs, *b)));
                     if taken != *expected_taken {
                         reg_exit!(*exit);
                     }
                     tick_n!(1u32);
-                    self.stats.branches += 1;
+                    st.stats.branches += 1;
                     if taken {
-                        self.stats.taken_branches += 1;
+                        st.stats.taken_branches += 1;
                     }
                 }
                 RInstr::GuardSwitch {
@@ -1809,7 +1678,7 @@ impl<'p> TracingVm<'p> {
                     pre,
                 } => {
                     tick_n!(*pre);
-                    let v = rget(&regs, *selector).as_int()?;
+                    let v = guard_trap!(rget(regs, *selector).as_int());
                     let idx = v.wrapping_sub(*low);
                     let actual = if idx >= 0 && (idx as usize) < targets.len() {
                         targets[idx as usize]
@@ -1820,8 +1689,8 @@ impl<'p> TracingVm<'p> {
                         reg_exit!(*exit);
                     }
                     tick_n!(1u32);
-                    self.stats.branches += 1;
-                    self.stats.taken_branches += 1;
+                    st.stats.branches += 1;
+                    st.stats.taken_branches += 1;
                 }
                 RInstr::EnterStatic {
                     callee,
@@ -1832,13 +1701,10 @@ impl<'p> TracingVm<'p> {
                     tick_n!(*w);
                     // Arguments cross the real stack: materialize, then
                     // let the frame push consume them.
-                    self.materialize(&rt.images[*image as usize], &regs);
-                    self.frames.last_mut().expect("frame exists").pc = *ret;
-                    if let Err(e) = self.push_call(*callee, 1) {
-                        self.stats.instructions += instrs;
-                        self.reg_file = regs;
-                        return Err(e);
-                    }
+                    materialize(&mut st.arena, &rt.images[*image as usize], regs);
+                    st.arena.top_mut().pc = *ret;
+                    enter_call(st, *callee)?;
+                    base = st.arena.top().base as usize;
                 }
                 RInstr::GuardVirtual {
                     slot,
@@ -1850,39 +1716,28 @@ impl<'p> TracingVm<'p> {
                     pre,
                 } => {
                     tick_n!(*pre);
-                    let rid = rget(&regs, *recv).as_ref_id()?;
-                    let class = match self.heap.get(rid) {
-                        HeapObj::Object { class, .. } => *class,
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object receiver",
-                                found: "array",
-                            })
-                        }
-                    };
-                    let callee = self.program.class(class).resolve(*slot);
+                    let rid = guard_trap!(rget(regs, *recv).as_ref_id());
+                    let callee = guard_trap!(resolve_virtual(st, rid, *slot));
                     if callee != *expected {
                         reg_exit!(*exit);
                     }
                     tick_n!(1u32);
-                    self.stats.virtual_calls += 1;
+                    st.stats.virtual_calls += 1;
                     // The exit's image doubles as the call
                     // materialization: both need the full frame.
                     let img_idx = rt.exits[*exit as usize].image;
-                    self.materialize(&rt.images[img_idx as usize], &regs);
-                    self.frames.last_mut().expect("frame exists").pc = *ret;
-                    if let Err(e) = self.push_call(callee, 1) {
-                        self.stats.instructions += instrs;
-                        self.reg_file = regs;
-                        return Err(e);
-                    }
+                    materialize(&mut st.arena, &rt.images[img_idx as usize], regs);
+                    st.arena.top_mut().pc = *ret;
+                    enter_call(st, callee)?;
+                    base = st.arena.top().base as usize;
                 }
                 RInstr::RetStatic { w } => {
                     tick_n!(*w);
-                    self.stats.returns += 1;
+                    st.stats.returns += 1;
                     // The return value (if any) lives in a register; the
                     // callee frame just goes away.
-                    self.frames.pop();
+                    st.arena.pop_frame();
+                    base = st.arena.top().base as usize;
                 }
                 RInstr::GuardReturn {
                     has_value,
@@ -1892,599 +1747,147 @@ impl<'p> TracingVm<'p> {
                     pre,
                 } => {
                     tick_n!(*pre);
-                    if self.frames.len() < 2 {
-                        reg_exit!(*exit);
-                    }
-                    let caller = &self.frames[self.frames.len() - 2];
-                    let cont = BlockId::new(
-                        caller.func,
-                        self.decoded.func(caller.func).block_of[caller.pc as usize],
-                    );
-                    if cont != *expected {
+                    if !returns_to(st, *expected) {
                         reg_exit!(*exit);
                     }
                     tick_n!(1u32);
-                    self.stats.returns += 1;
-                    self.frames.pop();
+                    st.stats.returns += 1;
+                    st.arena.pop_frame();
                     if *has_value {
-                        let v = rget(&regs, *retval);
-                        self.frames.last_mut().expect("caller exists").stack.push(v);
+                        push_real(&mut st.arena, rget(regs, *retval));
                     }
+                    base = st.arena.top().base as usize;
                 }
-                RInstr::Finish { op: d, exit, pre } => {
+                RInstr::Finish { exit, pre, .. } => {
                     tick_n!(*pre);
                     let e = &rt.exits[*exit as usize];
-                    self.materialize(&rt.images[e.image as usize], &regs);
-                    self.frames.last_mut().expect("frame exists").pc = e.dpc;
-                    tick_n!(1u32);
-                    self.stats.instructions += instrs;
-                    match self.exec(*d) {
-                        Err(e) => {
-                            self.reg_file = regs;
-                            return Err(e);
-                        }
-                        Ok(Step::Ok) => {}
-                        Ok(Step::Finished(v)) => {
-                            self.trace_stats.completed += 1;
-                            self.trace_stats.blocks_in_completed += rt.src_blocks.len() as u64;
-                            self.trace_stats.instrs_in_completed += instrs;
-                            self.reg_file = regs;
-                            return Ok(TraceRun::Finished(v));
-                        }
-                    }
+                    materialize(&mut st.arena, &rt.images[e.image as usize], regs);
+                    return Ok(self.complete(st, e.dpc, &rt.src_blocks, *instrs));
                 }
             }
         }
-
-        // Trace ran to completion.
-        self.trace_stats.completed += 1;
-        self.trace_stats.blocks_in_completed += rt.src_blocks.len() as u64;
-        self.trace_stats.instrs_in_completed += instrs;
-        let last = *rt.src_blocks.last().expect("traces are nonempty");
-        self.bcg.set_context(last);
-        self.prev_block = Some(last);
-        self.reg_file = regs;
-        Ok(TraceRun::Completed)
+        unreachable!("compiled traces end in Finish")
     }
+}
 
-    /// Peeks the operands of a guarded conditional without popping.
-    fn eval_cond(&self, kind: CondKind) -> Result<bool, VmError> {
-        let f = self.frames.last().expect("frame exists");
-        let n = f.stack.len();
-        Ok(match kind {
-            CondKind::ICmp(op) => {
-                let b = f.stack[n - 1].as_int()?;
-                let a = f.stack[n - 2].as_int()?;
-                op.eval_i64(a, b)
-            }
-            CondKind::IZero(op) => {
-                let a = f.stack[n - 1].as_int()?;
-                op.eval_i64(a, 0)
-            }
-            CondKind::FCmp(op) => {
-                let b = f.stack[n - 1].as_float()?;
-                let a = f.stack[n - 2].as_float()?;
-                op.eval_f64(a, b)
-            }
-            CondKind::Null => matches!(f.stack[n - 1], Value::Null),
-            CondKind::NonNull => !matches!(f.stack[n - 1], Value::Null),
-        })
+/// Writes a frame image back into the top frame: dirty locals first, then
+/// the register stack on top of the frame's real prefix. Used at side
+/// exits (full deopt), calls (arguments cross the real stack),
+/// allocations (collection roots) and completion.
+#[inline]
+fn materialize(arena: &mut FrameArena, image: &FrameImage, regs: &[Value]) {
+    let t = arena.frames.last_mut().expect("frame exists");
+    for &(slot, r) in image.dirty.iter() {
+        arena.slab[t.base as usize + slot as usize] = rget(regs, r);
     }
-
-    /// Pops arguments and pushes a callee frame starting at decoded
-    /// `start_pc` (0 out of trace — the entry marker fires a dispatch —
-    /// or 1 in-trace, where the trace absorbs it); the caller's `pc` must
-    /// already point at the continuation.
-    fn push_call(&mut self, callee: FuncId, start_pc: u32) -> Result<(), VmError> {
-        if self.frames.len() >= self.config.jit.vm.max_frames {
-            return Err(VmError::CallStackOverflow);
-        }
-        self.stats.calls += 1;
-        let cf = self.program.function(callee);
-        let argc = cf.num_params() as usize;
-        let frame = self.frames.last_mut().expect("frame exists");
-        let split = frame.stack.len() - argc;
-        let mut callee_frame = ExFrame::new(callee, cf.num_locals(), &frame.stack[split..]);
-        callee_frame.pc = start_pc;
-        frame.stack.truncate(split);
-        self.frames.push(callee_frame);
-        self.stats.max_frame_depth = self.stats.max_frame_depth.max(self.frames.len());
-        Ok(())
+    debug_assert_eq!(
+        t.sp,
+        t.stack_base + image.base,
+        "real stack prefix must match the lowering's model"
+    );
+    let sp = t.sp as usize;
+    for (i, &r) in image.stack.iter().enumerate() {
+        arena.slab[sp + i] = rget(regs, r);
     }
+    t.sp += image.stack.len() as u32;
+    debug_assert!(t.sp <= t.limit, "verified max_stack bound");
+}
 
-    fn maybe_collect(&mut self) {
-        if self.heap.should_collect() {
-            let TracingVm { heap, frames, .. } = self;
-            let roots = frames.iter().flat_map(|f| {
-                f.stack
-                    .iter()
-                    .chain(f.locals.iter())
-                    .filter_map(|v| match v {
-                        Value::Ref(r) => Some(*r),
-                        _ => None,
-                    })
-            });
-            heap.collect(roots);
-        }
+/// Drops the register stack [`materialize`] pushed for `image`.
+#[inline]
+fn truncate_to_image(arena: &mut FrameArena, image: &FrameImage) {
+    let t = arena.top_mut();
+    t.sp = t.stack_base + image.base;
+}
+
+/// Pushes `v` onto the top frame's real operand stack.
+#[inline]
+fn push_real(arena: &mut FrameArena, v: Value) {
+    let t = arena.frames.last_mut().expect("frame exists");
+    debug_assert!(t.sp < t.limit, "verified max_stack bound");
+    arena.slab[t.sp as usize] = v;
+    t.sp += 1;
+}
+
+/// Collects if the heap asks for it; the frames' live regions are the
+/// roots (top-frame `sp` must be flushed).
+#[inline]
+fn maybe_collect(st: &mut RunState<'_>) {
+    if st.heap.should_collect() {
+        st.heap.collect(st.arena.roots());
     }
+}
 
-    /// Executes one decoded instruction with full interpreter semantics.
-    /// The caller is responsible for fuel accounting ([`Self::tick`]).
-    #[inline(always)]
-    fn exec(&mut self, d: DOp) -> Result<Step, VmError> {
-        // A fused superinstruction head (see jvm_vm::fuse) is
-        // transparently unfused: this single-step path executes the
-        // head's original opcode (operands are preserved by the
-        // rewrite), and the group's shadow slots still hold the
-        // remaining constituents for the following steps.
-        let d = if jvm_vm::fuse::is_fused(d.op) {
-            DOp::new(jvm_vm::fuse::base_op(d.op), d.a, d.b)
-        } else {
-            d
-        };
-        let program = self.program;
-        macro_rules! frame {
-            () => {
-                self.frames.last_mut().expect("frame exists")
-            };
-        }
-        macro_rules! pop {
-            ($f:expr) => {
-                $f.stack.pop().expect("verified code cannot underflow")
-            };
-        }
-        macro_rules! binop_i {
-            ($op:expr) => {{
-                let f = frame!();
-                let b = pop!(f).as_int()?;
-                let a = pop!(f).as_int()?;
-                f.stack.push(Value::Int($op(a, b)));
-                f.pc += 1;
-            }};
-        }
-        macro_rules! binop_f {
-            ($op:expr) => {{
-                let f = frame!();
-                let b = pop!(f).as_float()?;
-                let a = pop!(f).as_float()?;
-                f.stack.push(Value::Float($op(a, b)));
-                f.pc += 1;
-            }};
-        }
-
-        match d.op {
-            op::ICONST => {
-                let v = self.decoded.iconsts[d.b as usize];
-                let f = frame!();
-                f.stack.push(Value::Int(v));
-                f.pc += 1;
-            }
-            op::FCONST => {
-                let v = self.decoded.fconsts[d.b as usize];
-                let f = frame!();
-                f.stack.push(Value::Float(v));
-                f.pc += 1;
-            }
-            op::CONST_NULL => {
-                let f = frame!();
-                f.stack.push(Value::Null);
-                f.pc += 1;
-            }
-            op::DUP => {
-                let f = frame!();
-                let v = *f.stack.last().expect("verified");
-                f.stack.push(v);
-                f.pc += 1;
-            }
-            op::DUP2 => {
-                let f = frame!();
-                let n = f.stack.len();
-                let a = f.stack[n - 2];
-                let b = f.stack[n - 1];
-                f.stack.push(a);
-                f.stack.push(b);
-                f.pc += 1;
-            }
-            op::POP => {
-                let f = frame!();
-                let _ = pop!(f);
-                f.pc += 1;
-            }
-            op::SWAP => {
-                let f = frame!();
-                let n = f.stack.len();
-                f.stack.swap(n - 1, n - 2);
-                f.pc += 1;
-            }
-            op::LOAD => {
-                let f = frame!();
-                f.stack.push(f.locals[d.a as usize]);
-                f.pc += 1;
-            }
-            op::STORE => {
-                let f = frame!();
-                let v = pop!(f);
-                f.locals[d.a as usize] = v;
-                f.pc += 1;
-            }
-            op::IINC => {
-                let f = frame!();
-                let v = f.locals[d.a as usize].as_int()?;
-                f.locals[d.a as usize] = Value::Int(v.wrapping_add(d.b as i32 as i64));
-                f.pc += 1;
-            }
-            op::IADD => binop_i!(|a: i64, b: i64| a.wrapping_add(b)),
-            op::ISUB => binop_i!(|a: i64, b: i64| a.wrapping_sub(b)),
-            op::IMUL => binop_i!(|a: i64, b: i64| a.wrapping_mul(b)),
-            op::IDIV => {
-                let f = frame!();
-                let b = pop!(f).as_int()?;
-                let a = pop!(f).as_int()?;
-                if b == 0 {
-                    return Err(VmError::DivisionByZero);
-                }
-                f.stack.push(Value::Int(a.wrapping_div(b)));
-                f.pc += 1;
-            }
-            op::IREM => {
-                let f = frame!();
-                let b = pop!(f).as_int()?;
-                let a = pop!(f).as_int()?;
-                if b == 0 {
-                    return Err(VmError::DivisionByZero);
-                }
-                f.stack.push(Value::Int(a.wrapping_rem(b)));
-                f.pc += 1;
-            }
-            op::INEG => {
-                let f = frame!();
-                let a = pop!(f).as_int()?;
-                f.stack.push(Value::Int(a.wrapping_neg()));
-                f.pc += 1;
-            }
-            op::ISHL => binop_i!(|a: i64, b: i64| a.wrapping_shl(b as u32 & 63)),
-            op::ISHR => binop_i!(|a: i64, b: i64| a.wrapping_shr(b as u32 & 63)),
-            op::IUSHR => binop_i!(|a: i64, b: i64| ((a as u64) >> (b as u32 & 63)) as i64),
-            op::IAND => binop_i!(|a: i64, b: i64| a & b),
-            op::IOR => binop_i!(|a: i64, b: i64| a | b),
-            op::IXOR => binop_i!(|a: i64, b: i64| a ^ b),
-            op::FADD => binop_f!(|a: f64, b: f64| a + b),
-            op::FSUB => binop_f!(|a: f64, b: f64| a - b),
-            op::FMUL => binop_f!(|a: f64, b: f64| a * b),
-            op::FDIV => binop_f!(|a: f64, b: f64| a / b),
-            op::FNEG => {
-                let f = frame!();
-                let a = pop!(f).as_float()?;
-                f.stack.push(Value::Float(-a));
-                f.pc += 1;
-            }
-            op::I2F => {
-                let f = frame!();
-                let a = pop!(f).as_int()?;
-                f.stack.push(Value::Float(a as f64));
-                f.pc += 1;
-            }
-            op::F2I => {
-                let f = frame!();
-                let a = pop!(f).as_float()?;
-                f.stack.push(Value::Int(a as i64));
-                f.pc += 1;
-            }
-            o @ op::IF_ICMP_EQ..=op::IF_ICMP_GE => {
-                let f = frame!();
-                let b = pop!(f).as_int()?;
-                let a = pop!(f).as_int()?;
-                self.stats.branches += 1;
-                if eval_i_rel(o - op::IF_ICMP_EQ, a, b) {
-                    self.stats.taken_branches += 1;
-                    frame!().pc = d.b;
-                } else {
-                    frame!().pc += 1;
-                }
-            }
-            o @ op::IF_I_EQ..=op::IF_I_GE => {
-                let f = frame!();
-                let a = pop!(f).as_int()?;
-                self.stats.branches += 1;
-                if eval_i_rel(o - op::IF_I_EQ, a, 0) {
-                    self.stats.taken_branches += 1;
-                    frame!().pc = d.b;
-                } else {
-                    frame!().pc += 1;
-                }
-            }
-            o @ op::IF_FCMP_EQ..=op::IF_FCMP_GE => {
-                let f = frame!();
-                let b = pop!(f).as_float()?;
-                let a = pop!(f).as_float()?;
-                self.stats.branches += 1;
-                if eval_f_rel(o - op::IF_FCMP_EQ, a, b) {
-                    self.stats.taken_branches += 1;
-                    frame!().pc = d.b;
-                } else {
-                    frame!().pc += 1;
-                }
-            }
-            op::IF_NULL => {
-                let f = frame!();
-                let v = pop!(f);
-                self.stats.branches += 1;
-                if matches!(v, Value::Null) {
-                    self.stats.taken_branches += 1;
-                    frame!().pc = d.b;
-                } else {
-                    frame!().pc += 1;
-                }
-            }
-            op::IF_NON_NULL => {
-                let f = frame!();
-                let v = pop!(f);
-                self.stats.branches += 1;
-                if !matches!(v, Value::Null) {
-                    self.stats.taken_branches += 1;
-                    frame!().pc = d.b;
-                } else {
-                    frame!().pc += 1;
-                }
-            }
-            op::GOTO => {
-                frame!().pc = d.b;
-            }
-            op::TABLE_SWITCH => {
-                let f = frame!();
-                let v = pop!(f).as_int()?;
-                self.stats.branches += 1;
-                self.stats.taken_branches += 1;
-                let sw = &self.decoded.switches[d.b as usize];
-                let idx = v.wrapping_sub(sw.low);
-                let target = if idx >= 0 && (idx as usize) < sw.targets.len() {
-                    sw.targets[idx as usize]
-                } else {
-                    sw.default
-                };
-                frame!().pc = target;
-            }
-            op::INVOKE_STATIC => {
-                frame!().pc += 1;
-                self.push_call(FuncId(d.b), 0)?;
-            }
-            op::INVOKE_VIRTUAL => {
-                let f = frame!();
-                let recv_idx = f.stack.len() - d.b as usize;
-                let recv = f.stack[recv_idx].as_ref_id()?;
-                let class = match self.heap.get(recv) {
-                    HeapObj::Object { class, .. } => *class,
-                    HeapObj::Array { .. } => {
-                        return Err(VmError::TypeError {
-                            expected: "object receiver",
-                            found: "array",
-                        })
-                    }
-                };
-                let callee = program.class(class).resolve(d.a);
-                self.stats.virtual_calls += 1;
-                frame!().pc += 1;
-                self.push_call(callee, 0)?;
-            }
-            op::RETURN => {
-                let f = frame!();
-                let v = pop!(f);
-                self.stats.returns += 1;
-                self.frames.pop();
-                match self.frames.last_mut() {
-                    None => return Ok(Step::Finished(Some(v))),
-                    Some(caller) => caller.stack.push(v),
-                }
-            }
-            op::RETURN_VOID => {
-                self.stats.returns += 1;
-                self.frames.pop();
-                if self.frames.is_empty() {
-                    return Ok(Step::Finished(None));
-                }
-            }
-            op::NEW => {
-                self.maybe_collect();
-                let r = self.heap.alloc_object(ClassId(d.b), d.a);
-                let f = frame!();
-                f.stack.push(Value::Ref(r));
-                f.pc += 1;
-            }
-            op::GET_FIELD => {
-                let f = frame!();
-                let obj = pop!(f).as_ref_id()?;
-                match self.heap.get(obj) {
-                    HeapObj::Object { fields, .. } => {
-                        let v = *fields.get(d.a as usize).ok_or(VmError::BadField {
-                            field: d.a,
-                            num_fields: fields.len() as u16,
-                        })?;
-                        let f = frame!();
-                        f.stack.push(v);
-                        f.pc += 1;
-                    }
-                    HeapObj::Array { .. } => {
-                        return Err(VmError::TypeError {
-                            expected: "object",
-                            found: "array",
-                        })
-                    }
-                }
-            }
-            op::PUT_FIELD => {
-                let f = frame!();
-                let v = pop!(f);
-                let obj = pop!(f).as_ref_id()?;
-                f.pc += 1;
-                match self.heap.get_mut(obj) {
-                    HeapObj::Object { fields, .. } => {
-                        let len = fields.len();
-                        *fields.get_mut(d.a as usize).ok_or(VmError::BadField {
-                            field: d.a,
-                            num_fields: len as u16,
-                        })? = v;
-                    }
-                    HeapObj::Array { .. } => {
-                        return Err(VmError::TypeError {
-                            expected: "object",
-                            found: "array",
-                        })
-                    }
-                }
-            }
-            op::NEW_ARRAY => {
-                let f = frame!();
-                let len = pop!(f).as_int()?;
-                self.maybe_collect();
-                let r = self.heap.alloc_array(len)?;
-                let f = frame!();
-                f.stack.push(Value::Ref(r));
-                f.pc += 1;
-            }
-            op::ALOAD => {
-                let f = frame!();
-                let idx = pop!(f).as_int()?;
-                let arr = pop!(f).as_ref_id()?;
-                match self.heap.get(arr) {
-                    HeapObj::Array { elems } => {
-                        if idx < 0 || idx as usize >= elems.len() {
-                            return Err(VmError::IndexOutOfBounds {
-                                index: idx,
-                                len: elems.len(),
-                            });
-                        }
-                        let v = elems[idx as usize];
-                        let f = frame!();
-                        f.stack.push(v);
-                        f.pc += 1;
-                    }
-                    HeapObj::Object { .. } => {
-                        return Err(VmError::TypeError {
-                            expected: "array",
-                            found: "object",
-                        })
-                    }
-                }
-            }
-            op::ASTORE => {
-                let f = frame!();
-                let v = pop!(f);
-                let idx = pop!(f).as_int()?;
-                let arr = pop!(f).as_ref_id()?;
-                f.pc += 1;
-                match self.heap.get_mut(arr) {
-                    HeapObj::Array { elems } => {
-                        if idx < 0 || idx as usize >= elems.len() {
-                            return Err(VmError::IndexOutOfBounds {
-                                index: idx,
-                                len: elems.len(),
-                            });
-                        }
-                        elems[idx as usize] = v;
-                    }
-                    HeapObj::Object { .. } => {
-                        return Err(VmError::TypeError {
-                            expected: "array",
-                            found: "object",
-                        })
-                    }
-                }
-            }
-            op::ARRAY_LEN => {
-                let f = frame!();
-                let arr = pop!(f).as_ref_id()?;
-                match self.heap.get(arr) {
-                    HeapObj::Array { elems } => {
-                        let len = elems.len() as i64;
-                        let f = frame!();
-                        f.stack.push(Value::Int(len));
-                        f.pc += 1;
-                    }
-                    HeapObj::Object { .. } => {
-                        return Err(VmError::TypeError {
-                            expected: "array",
-                            found: "object",
-                        })
-                    }
-                }
-            }
-            o @ op::SQRT..=op::CHECKSUM => {
-                self.exec_intrinsic(INTRINSIC_ORDER[(o - op::SQRT) as usize])?
-            }
-            op::NOP => {
-                frame!().pc += 1;
-            }
-            other => unreachable!("corrupt decoded stream: opcode {other}"),
-        }
-        Ok(Step::Ok)
+/// Pushes an in-trace callee frame. The trace absorbs the callee's
+/// entry dispatch, so the callee starts past its entry marker. The
+/// caller's continuation `pc` and `sp` must already be flushed.
+fn enter_call(st: &mut RunState<'_>, callee: FuncId) -> Result<(), VmError> {
+    if st.arena.depth() >= st.config.max_frames {
+        return Err(VmError::CallStackOverflow);
     }
+    st.stats.calls += 1;
+    let df = st.decoded.func(callee);
+    let argc = u32::from(df.num_params);
+    st.arena
+        .push_call(callee, u32::from(df.num_locals), df.frame_size, argc);
+    st.arena.top_mut().pc = 1;
+    st.stats.max_frame_depth = st.stats.max_frame_depth.max(st.arena.depth());
+    Ok(())
+}
 
-    fn exec_intrinsic(&mut self, i: Intrinsic) -> Result<(), VmError> {
-        let capture = self.config.jit.vm.capture_output;
-        let f = self.frames.last_mut().expect("frame exists");
-        macro_rules! popv {
-            () => {
-                f.stack.pop().expect("verified code cannot underflow")
-            };
+/// Resolves vtable `slot` on receiver `recv`.
+fn resolve_virtual(st: &RunState<'_>, recv: jvm_vm::RefId, slot: u16) -> Result<FuncId, VmError> {
+    match st.heap.get(recv) {
+        HeapObj::Object { class, .. } => Ok(st.program.class(*class).resolve(slot)),
+        HeapObj::Array { .. } => Err(VmError::TypeError {
+            expected: "object receiver",
+            found: "array",
+        }),
+    }
+}
+
+/// Whether returning from the top frame lands in block `expected`: the
+/// caller's saved `pc` names the continuation. Returning from the
+/// outermost frame ends the program, which only the loop may do.
+fn returns_to(st: &RunState<'_>, expected: BlockId) -> bool {
+    let frames = &st.arena.frames;
+    let Some(caller) = frames.len().checked_sub(2).map(|i| frames[i]) else {
+        return false;
+    };
+    let block = st.decoded.func(caller.func).block_of[caller.pc as usize];
+    BlockId::new(caller.func, block) == expected
+}
+
+/// The array element `arr[idx]`, with the interpreter's trap order.
+fn array_elem(heap: &Heap, arr: jvm_vm::RefId, idx: i64) -> Result<Value, VmError> {
+    match heap.get(arr) {
+        HeapObj::Array { elems } => elems
+            .get(usize::try_from(idx).unwrap_or(usize::MAX))
+            .copied()
+            .ok_or(VmError::IndexOutOfBounds {
+                index: idx,
+                len: elems.len(),
+            }),
+        HeapObj::Object { .. } => Err(VmError::TypeError {
+            expected: "array",
+            found: "object",
+        }),
+    }
+}
+
+/// The array element slot `arr[idx]`, with the interpreter's trap order.
+fn array_elem_mut(heap: &mut Heap, arr: jvm_vm::RefId, idx: i64) -> Result<&mut Value, VmError> {
+    match heap.get_mut(arr) {
+        HeapObj::Array { elems } => {
+            let len = elems.len();
+            elems
+                .get_mut(usize::try_from(idx).unwrap_or(usize::MAX))
+                .ok_or(VmError::IndexOutOfBounds { index: idx, len })
         }
-        match i {
-            Intrinsic::Sqrt => {
-                let v = popv!().as_float()?;
-                f.stack.push(Value::Float(v.sqrt()));
-            }
-            Intrinsic::Sin => {
-                let v = popv!().as_float()?;
-                f.stack.push(Value::Float(v.sin()));
-            }
-            Intrinsic::Cos => {
-                let v = popv!().as_float()?;
-                f.stack.push(Value::Float(v.cos()));
-            }
-            Intrinsic::Exp => {
-                let v = popv!().as_float()?;
-                f.stack.push(Value::Float(v.exp()));
-            }
-            Intrinsic::Log => {
-                let v = popv!().as_float()?;
-                f.stack.push(Value::Float(v.ln()));
-            }
-            Intrinsic::AbsF => {
-                let v = popv!().as_float()?;
-                f.stack.push(Value::Float(v.abs()));
-            }
-            Intrinsic::AbsI => {
-                let v = popv!().as_int()?;
-                f.stack.push(Value::Int(v.wrapping_abs()));
-            }
-            Intrinsic::MinI => {
-                let b = popv!().as_int()?;
-                let a = popv!().as_int()?;
-                f.stack.push(Value::Int(a.min(b)));
-            }
-            Intrinsic::MaxI => {
-                let b = popv!().as_int()?;
-                let a = popv!().as_int()?;
-                f.stack.push(Value::Int(a.max(b)));
-            }
-            Intrinsic::PrintInt => {
-                let v = popv!().as_int()?;
-                if capture {
-                    self.output.push(OutputItem::Int(v));
-                }
-            }
-            Intrinsic::PrintFloat => {
-                let v = popv!().as_float()?;
-                if capture {
-                    self.output.push(OutputItem::Float(v));
-                }
-            }
-            Intrinsic::Checksum => {
-                let v = popv!().as_int()?;
-                self.checksum = fold_checksum(self.checksum, v);
-            }
-        }
-        self.frames.last_mut().expect("frame exists").pc += 1;
-        Ok(())
+        HeapObj::Object { .. } => Err(VmError::TypeError {
+            expected: "array",
+            found: "object",
+        }),
     }
 }
 

@@ -32,11 +32,13 @@
 //!   [`FrameImage`] mapping live registers back to the stack/locals
 //!   frame, so a side exit reconstructs the interpreter frame exactly
 //!   at the guarded instruction.
-//! * [`engine`] — [`TracingVm`], a complete execution engine that
-//!   interprets out-of-trace code block-by-block over the decoded
-//!   streams (with the profiler attached, as in the base system) and
-//!   executes cached traces from their lowered form, eliminating the
-//!   per-block dispatch and profiling points inside traces.
+//! * [`engine`] — [`TracingVm`], a complete execution engine: the
+//!   `jvm-vm` decoded interpreter loop runs out-of-trace code (fused
+//!   superinstructions included) with the engine attached as its block
+//!   hook — the profiler, as in the base system, plus the trace-entry
+//!   check — and cached traces execute from their lowered form on the
+//!   loop's own frame arena, eliminating the per-block dispatch and
+//!   profiling points inside traces.
 //!   Differential tests pin its semantics against the baseline
 //!   interpreter on all six workloads.
 

@@ -12,7 +12,11 @@
 //!    SableVM's direct-threaded-inlining engine: one dispatch per block,
 //!    with the profiler attached to the dispatch code. Markers cost no
 //!    fuel and are not counted as instructions, so every observable count
-//!    matches the frozen [`crate::ReferenceVm`] exactly.
+//!    matches the frozen [`crate::ReferenceVm`] exactly. The marker case
+//!    calls a [`BlockHook`]: [`Vm::run`] adapts its observer into one
+//!    that never yields, and the trace engine plugs in a hook that may
+//!    run a trace on the frames and resume the loop behind it, so this
+//!    is the one interpreter loop of the system.
 //! 2. **Verifier-justified unchecked stack ops.** The verifier proves
 //!    every reachable pc has a consistent operand-stack depth bounded by
 //!    [`crate::decode::DecodedFunction::max_stack`], so operand traffic
@@ -218,188 +222,656 @@ impl<'p> Vm<'p> {
         args: &[Value],
         observer: &mut O,
     ) -> Result<Option<Value>, VmError> {
-        // Reset run state.
-        self.heap = Heap::new(self.config.gc_threshold);
-        self.arena.clear();
-        self.stats = ExecStats::default();
-        self.checksum = 0;
-        self.output.clear();
-
-        let program = self.program;
-        let entry = program.entry();
-        let ef = program.function(entry);
-        if args.len() != ef.num_params() as usize {
-            return Err(VmError::BadEntryArgs {
-                func: entry,
-                expected: ef.num_params(),
-                provided: args.len(),
-            });
-        }
-
-        // Split the borrows: the decoded streams are read-only while the
-        // heap/arena/stats are mutated by the loop.
-        let config = self.config;
-        let Vm {
-            decoded,
-            heap,
-            arena,
-            stats,
-            checksum,
-            output,
-            ..
-        } = self;
-        let decoded: &DecodedProgram = decoded;
-
-        // Frame-local state, cached in locals and flushed to the arena at
-        // call/return/GC boundaries.
-        let mut func = entry;
-        let mut code: &[DOp] = &decoded.func(entry).code;
-        {
-            let df = decoded.func(entry);
-            arena.push_entry(entry, u32::from(df.num_locals), df.frame_size, args);
-        }
-        stats.max_frame_depth = 1;
-        let mut pc: u32 = 0;
-        let (mut base, mut sbase, mut limit, mut sp) = {
-            let t = arena.top();
-            (t.base, t.stack_base, t.limit, t.sp)
+        let mut st = RunState {
+            program: self.program,
+            decoded: &self.decoded,
+            heap: std::mem::take(&mut self.heap),
+            arena: std::mem::take(&mut self.arena),
+            stats: ExecStats::default(),
+            checksum: 0,
+            output: std::mem::take(&mut self.output),
+            config: self.config,
         };
+        let result = run_with_hook(&mut st, args, &mut Observe(observer));
+        self.heap = st.heap;
+        self.arena = st.arena;
+        self.stats = st.stats;
+        self.checksum = st.checksum;
+        self.output = st.output;
+        result
+    }
+}
 
-        macro_rules! push {
-            ($v:expr) => {{
-                let v = $v;
-                debug_assert!(sp < limit, "verified max_stack bound");
-                *slot_mut(&mut arena.slab, sp) = v;
-                sp += 1;
-            }};
-        }
-        macro_rules! pop {
-            () => {{
-                debug_assert!(sp > sbase, "verified code cannot underflow");
-                sp -= 1;
-                slot(&arena.slab, sp)
-            }};
-        }
-        // Reloads the cached frame state from the arena top (after a
-        // call or return changed the active frame).
-        macro_rules! reload {
-            () => {{
-                let t = arena.top();
-                func = t.func;
-                code = &decoded.func(func).code;
-                pc = t.pc;
-                base = t.base;
-                sbase = t.stack_base;
-                limit = t.limit;
-                sp = t.sp;
-            }};
-        }
-        // Runs a collection if the heap suggests one; the live regions of
-        // the arena slab are exactly the roots.
-        macro_rules! maybe_collect {
-            () => {{
-                if heap.should_collect() {
-                    arena.top_mut().sp = sp;
-                    heap.collect(arena.roots());
+/// What the loop does after a [`BlockHook`] returns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Flow {
+    /// Fall into the block body: the hook left the frames untouched.
+    Continue,
+    /// The hook moved execution (it ran a trace): reload the frame, `pc`
+    /// and `sp` from the arena top and go on from there.
+    Resume,
+    /// The program finished inside the hook with this result.
+    Return(Option<Value>),
+}
+
+/// The state of one run: everything the loop reads and writes, handed to
+/// the [`BlockHook`] at each block dispatch. The mutable parts are owned
+/// (their owner lends them for the run and takes them back), so the loop
+/// reaches all of them through one pointer with known-disjoint fields.
+#[derive(Debug)]
+pub struct RunState<'r> {
+    /// The program (class table for virtual dispatch).
+    pub program: &'r Program,
+    /// The decoded streams; read-only for the whole run.
+    pub decoded: &'r DecodedProgram,
+    /// The object heap.
+    pub heap: Heap,
+    /// Locals and operand stacks of every live frame.
+    pub arena: FrameArena,
+    /// Execution counters.
+    pub stats: ExecStats,
+    /// Running `checksum` intrinsic accumulator.
+    pub checksum: u64,
+    /// Captured print output.
+    pub output: Vec<OutputItem>,
+    /// Limits and output capture.
+    pub config: VmConfig,
+}
+
+/// Code that runs at every basic-block dispatch of [`run_with_hook`].
+///
+/// A hook that never moves execution sets `YIELDS = false`: the loop then
+/// keeps `pc`/`sp` in registers across the call and ignores the returned
+/// [`Flow`], so it compiles to the plain observer loop. A hook with
+/// `YIELDS = true` may run code on the frames (a trace): the loop writes
+/// `pc` (just past the block's entry marker) and `sp` to the arena top
+/// before the call and reloads them after [`Flow::Resume`].
+pub trait BlockHook {
+    /// Whether [`BlockHook::on_block`] may return anything but
+    /// [`Flow::Continue`].
+    const YIELDS: bool;
+
+    /// Called once per block dispatch, after the dispatch is counted.
+    ///
+    /// # Errors
+    ///
+    /// A [`VmError`] ends the run with that error.
+    fn on_block(&mut self, block: BlockId, st: &mut RunState<'_>) -> Result<Flow, VmError>;
+}
+
+/// Adapts a [`DispatchObserver`] into a non-yielding [`BlockHook`].
+struct Observe<'o, O>(&'o mut O);
+
+impl<O: DispatchObserver> BlockHook for Observe<'_, O> {
+    const YIELDS: bool = false;
+
+    #[inline(always)]
+    fn on_block(&mut self, block: BlockId, _st: &mut RunState<'_>) -> Result<Flow, VmError> {
+        self.0.on_block(block);
+        Ok(Flow::Continue)
+    }
+}
+
+/// Runs the program's entry function with `args` on the decoded loop,
+/// calling `hook` at every block dispatch. Resets the run state first.
+///
+/// # Errors
+///
+/// As for [`Vm::run`], plus any error the hook returns.
+pub fn run_with_hook<H: BlockHook>(
+    st: &mut RunState<'_>,
+    args: &[Value],
+    hook: &mut H,
+) -> Result<Option<Value>, VmError> {
+    st.heap = Heap::new(st.config.gc_threshold);
+    st.arena.clear();
+    st.stats = ExecStats::default();
+    st.checksum = 0;
+    st.output.clear();
+
+    // Copies of the read-only parts: code slices borrow the decoded
+    // program, not `st`, so `st` can go to the hook.
+    let (program, decoded, config) = (st.program, st.decoded, st.config);
+    let entry = program.entry();
+    let ef = program.function(entry);
+    if args.len() != ef.num_params() as usize {
+        return Err(VmError::BadEntryArgs {
+            func: entry,
+            expected: ef.num_params(),
+            provided: args.len(),
+        });
+    }
+
+    // Frame-local state, cached in locals and flushed to the arena at
+    // call/return/GC boundaries.
+    let mut func = entry;
+    let mut code: &[DOp] = &decoded.func(entry).code;
+    st.arena.push_entry(
+        entry,
+        u32::from(decoded.func(entry).num_locals),
+        decoded.func(entry).frame_size,
+        args,
+    );
+    st.stats.max_frame_depth = 1;
+    let mut pc: u32 = 0;
+    let (mut base, mut sbase, mut limit, mut sp) = {
+        let t = st.arena.top();
+        (t.base, t.stack_base, t.limit, t.sp)
+    };
+
+    macro_rules! push {
+        ($v:expr) => {{
+            let v = $v;
+            debug_assert!(sp < limit, "verified max_stack bound");
+            *slot_mut(&mut st.arena.slab, sp) = v;
+            sp += 1;
+        }};
+    }
+    macro_rules! pop {
+        () => {{
+            debug_assert!(sp > sbase, "verified code cannot underflow");
+            sp -= 1;
+            slot(&st.arena.slab, sp)
+        }};
+    }
+    // Reloads the cached frame state from the arena top (after a
+    // call or return changed the active frame).
+    macro_rules! reload {
+        () => {{
+            let t = st.arena.top();
+            func = t.func;
+            code = &decoded.func(func).code;
+            pc = t.pc;
+            base = t.base;
+            sbase = t.stack_base;
+            limit = t.limit;
+            sp = t.sp;
+        }};
+    }
+    // Runs a collection if the heap suggests one; the live regions of
+    // the arena slab are exactly the roots.
+    macro_rules! maybe_collect {
+        () => {{
+            if st.heap.should_collect() {
+                st.arena.top_mut().sp = sp;
+                st.heap.collect(st.arena.roots());
+            }
+        }};
+    }
+    // Pushes a callee frame for `$callee` with `$argc` stack-passed
+    // arguments; the caller resumes past the call instruction.
+    macro_rules! enter_call {
+        ($callee:expr, $argc:expr) => {{
+            if st.arena.depth() >= config.max_frames {
+                return Err(VmError::CallStackOverflow);
+            }
+            st.stats.calls += 1;
+            let callee = $callee;
+            let cdf = decoded.func(callee);
+            {
+                let t = st.arena.top_mut();
+                t.pc = pc + 1;
+                t.sp = sp;
+            }
+            st.arena
+                .push_call(callee, u32::from(cdf.num_locals), cdf.frame_size, $argc);
+            st.stats.max_frame_depth = st.stats.max_frame_depth.max(st.arena.depth());
+            reload!();
+        }};
+    }
+    // --- Superinstruction support (see crate::fuse) ----------------
+    // Reads the shadow slot of the $i-th constituent of a fused
+    // group; the rewrite guarantees the whole group lies inside the
+    // stream (and inside one block).
+    macro_rules! shadow {
+        ($i:expr) => {{
+            debug_assert!(((pc + $i) as usize) < code.len(), "fused group in bounds");
+            // SAFETY: fuse::apply only plants heads whose full
+            // pattern matched within the stream.
+            unsafe { *code.get_unchecked((pc + $i) as usize) }
+        }};
+    }
+    // Fuel gate between fused constituents: the head was paid for by
+    // the loop prelude; each further constituent pays here, erroring
+    // at exactly the instruction count the unfused stream would.
+    macro_rules! fstep {
+        () => {{
+            if st.stats.instructions >= config.max_steps {
+                return Err(VmError::OutOfFuel);
+            }
+            st.stats.instructions += 1;
+        }};
+    }
+    // Evaluates the int binop `$opc` (IADD..=IXOR) with the exact
+    // semantics of the standalone handlers, including div/rem traps.
+    macro_rules! ibin {
+        ($opc:expr, $a:expr, $b:expr) => {{
+            let a: i64 = $a;
+            let b: i64 = $b;
+            match $opc {
+                op::IADD => a.wrapping_add(b),
+                op::ISUB => a.wrapping_sub(b),
+                op::IMUL => a.wrapping_mul(b),
+                op::IDIV => {
+                    if b == 0 {
+                        return Err(VmError::DivisionByZero);
+                    }
+                    a.wrapping_div(b)
                 }
-            }};
+                op::IREM => {
+                    if b == 0 {
+                        return Err(VmError::DivisionByZero);
+                    }
+                    a.wrapping_rem(b)
+                }
+                op::ISHL => a.wrapping_shl(b as u32 & 63),
+                op::ISHR => a.wrapping_shr(b as u32 & 63),
+                op::IUSHR => ((a as u64) >> (b as u32 & 63)) as i64,
+                op::IAND => a & b,
+                op::IOR => a | b,
+                op::IXOR => a ^ b,
+                other => unreachable!("int binop family: opcode {other}"),
+            }
+        }};
+    }
+    // Float binop family (FADD..=FDIV), same semantics as the
+    // standalone handlers.
+    macro_rules! fbin {
+        ($opc:expr, $a:expr, $b:expr) => {{
+            let a: f64 = $a;
+            let b: f64 = $b;
+            match $opc {
+                op::FADD => a + b,
+                op::FSUB => a - b,
+                op::FMUL => a * b,
+                op::FDIV => a / b,
+                other => unreachable!("float binop family: opcode {other}"),
+            }
+        }};
+    }
+    // Array element read with the exact trap order and messages of
+    // the standalone ALOAD handler.
+    macro_rules! aload_elem {
+        ($arr:expr, $idx:expr) => {{
+            let idx: i64 = $idx;
+            match st.heap.get($arr) {
+                HeapObj::Array { elems } => {
+                    if idx < 0 || idx as usize >= elems.len() {
+                        return Err(VmError::IndexOutOfBounds {
+                            index: idx,
+                            len: elems.len(),
+                        });
+                    }
+                    elems[idx as usize]
+                }
+                HeapObj::Object { .. } => {
+                    return Err(VmError::TypeError {
+                        expected: "array",
+                        found: "object",
+                    })
+                }
+            }
+        }};
+    }
+
+    loop {
+        debug_assert!((pc as usize) < code.len(), "terminators bound the stream");
+        // SAFETY: verified functions end in terminators, so `pc` never
+        // runs past the decoded stream.
+        let d = unsafe { *code.get_unchecked(pc as usize) };
+
+        // Block-entry markers fire the dispatch event; they cost no
+        // fuel and are not instructions.
+        if d.op == op::ENTER_BLOCK {
+            st.stats.block_dispatches += 1;
+            pc += 1;
+            if H::YIELDS {
+                let t = st.arena.top_mut();
+                t.pc = pc;
+                t.sp = sp;
+            }
+            let flow = hook.on_block(BlockId::new(func, d.b), st)?;
+            if H::YIELDS {
+                match flow {
+                    Flow::Continue => {}
+                    Flow::Resume => reload!(),
+                    Flow::Return(v) => return Ok(v),
+                }
+            }
+            continue;
         }
-        // Pushes a callee frame for `$callee` with `$argc` stack-passed
-        // arguments; the caller resumes past the call instruction.
-        macro_rules! enter_call {
-            ($callee:expr, $argc:expr) => {{
-                if arena.depth() >= config.max_frames {
-                    return Err(VmError::CallStackOverflow);
+
+        if st.stats.instructions >= config.max_steps {
+            return Err(VmError::OutOfFuel);
+        }
+        st.stats.instructions += 1;
+
+        match d.op {
+            op::ICONST => {
+                push!(Value::Int(decoded.iconsts[d.b as usize]));
+                pc += 1;
+            }
+            op::FCONST => {
+                push!(Value::Float(decoded.fconsts[d.b as usize]));
+                pc += 1;
+            }
+            op::CONST_NULL => {
+                push!(Value::Null);
+                pc += 1;
+            }
+            op::DUP => {
+                push!(slot(&st.arena.slab, sp - 1));
+                pc += 1;
+            }
+            op::DUP2 => {
+                let a = slot(&st.arena.slab, sp - 2);
+                let b = slot(&st.arena.slab, sp - 1);
+                push!(a);
+                push!(b);
+                pc += 1;
+            }
+            op::POP => {
+                let _ = pop!();
+                pc += 1;
+            }
+            op::SWAP => {
+                let a = slot(&st.arena.slab, sp - 1);
+                let b = slot(&st.arena.slab, sp - 2);
+                *slot_mut(&mut st.arena.slab, sp - 1) = b;
+                *slot_mut(&mut st.arena.slab, sp - 2) = a;
+                pc += 1;
+            }
+            op::LOAD => {
+                push!(slot(&st.arena.slab, base + u32::from(d.a)));
+                pc += 1;
+            }
+            op::STORE => {
+                let v = pop!();
+                *slot_mut(&mut st.arena.slab, base + u32::from(d.a)) = v;
+                pc += 1;
+            }
+            op::IINC => {
+                let i = base + u32::from(d.a);
+                let v = slot(&st.arena.slab, i).as_int()?;
+                *slot_mut(&mut st.arena.slab, i) = Value::Int(v.wrapping_add(d.b as i32 as i64));
+                pc += 1;
+            }
+            op::IADD => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                push!(Value::Int(a.wrapping_add(b)));
+                pc += 1;
+            }
+            op::ISUB => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                push!(Value::Int(a.wrapping_sub(b)));
+                pc += 1;
+            }
+            op::IMUL => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                push!(Value::Int(a.wrapping_mul(b)));
+                pc += 1;
+            }
+            op::IDIV => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                if b == 0 {
+                    return Err(VmError::DivisionByZero);
                 }
-                stats.calls += 1;
-                let callee = $callee;
-                let cdf = decoded.func(callee);
-                {
-                    let t = arena.top_mut();
-                    t.pc = pc + 1;
-                    t.sp = sp;
+                push!(Value::Int(a.wrapping_div(b)));
+                pc += 1;
+            }
+            op::IREM => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                if b == 0 {
+                    return Err(VmError::DivisionByZero);
                 }
-                arena.push_call(callee, u32::from(cdf.num_locals), cdf.frame_size, $argc);
-                stats.max_frame_depth = stats.max_frame_depth.max(arena.depth());
+                push!(Value::Int(a.wrapping_rem(b)));
+                pc += 1;
+            }
+            op::INEG => {
+                let a = pop!().as_int()?;
+                push!(Value::Int(a.wrapping_neg()));
+                pc += 1;
+            }
+            op::ISHL => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                push!(Value::Int(a.wrapping_shl(b as u32 & 63)));
+                pc += 1;
+            }
+            op::ISHR => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                push!(Value::Int(a.wrapping_shr(b as u32 & 63)));
+                pc += 1;
+            }
+            op::IUSHR => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                push!(Value::Int(((a as u64) >> (b as u32 & 63)) as i64));
+                pc += 1;
+            }
+            op::IAND => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                push!(Value::Int(a & b));
+                pc += 1;
+            }
+            op::IOR => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                push!(Value::Int(a | b));
+                pc += 1;
+            }
+            op::IXOR => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                push!(Value::Int(a ^ b));
+                pc += 1;
+            }
+            op::FADD => {
+                let b = pop!().as_float()?;
+                let a = pop!().as_float()?;
+                push!(Value::Float(a + b));
+                pc += 1;
+            }
+            op::FSUB => {
+                let b = pop!().as_float()?;
+                let a = pop!().as_float()?;
+                push!(Value::Float(a - b));
+                pc += 1;
+            }
+            op::FMUL => {
+                let b = pop!().as_float()?;
+                let a = pop!().as_float()?;
+                push!(Value::Float(a * b));
+                pc += 1;
+            }
+            op::FDIV => {
+                let b = pop!().as_float()?;
+                let a = pop!().as_float()?;
+                push!(Value::Float(a / b));
+                pc += 1;
+            }
+            op::FNEG => {
+                let a = pop!().as_float()?;
+                push!(Value::Float(-a));
+                pc += 1;
+            }
+            op::I2F => {
+                let a = pop!().as_int()?;
+                push!(Value::Float(a as f64));
+                pc += 1;
+            }
+            op::F2I => {
+                let a = pop!().as_float()?;
+                push!(Value::Int(a as i64));
+                pc += 1;
+            }
+            op::IF_ICMP_EQ..=op::IF_ICMP_GE => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                st.stats.branches += 1;
+                if eval_i_rel(d.op - op::IF_ICMP_EQ, a, b) {
+                    st.stats.taken_branches += 1;
+                    pc = d.b;
+                } else {
+                    pc += 1;
+                }
+            }
+            op::IF_I_EQ..=op::IF_I_GE => {
+                let a = pop!().as_int()?;
+                st.stats.branches += 1;
+                if eval_i_rel(d.op - op::IF_I_EQ, a, 0) {
+                    st.stats.taken_branches += 1;
+                    pc = d.b;
+                } else {
+                    pc += 1;
+                }
+            }
+            op::IF_FCMP_EQ..=op::IF_FCMP_GE => {
+                let b = pop!().as_float()?;
+                let a = pop!().as_float()?;
+                st.stats.branches += 1;
+                if eval_f_rel(d.op - op::IF_FCMP_EQ, a, b) {
+                    st.stats.taken_branches += 1;
+                    pc = d.b;
+                } else {
+                    pc += 1;
+                }
+            }
+            op::IF_NULL => {
+                let v = pop!();
+                st.stats.branches += 1;
+                if matches!(v, Value::Null) {
+                    st.stats.taken_branches += 1;
+                    pc = d.b;
+                } else {
+                    pc += 1;
+                }
+            }
+            op::IF_NON_NULL => {
+                let v = pop!();
+                st.stats.branches += 1;
+                if !matches!(v, Value::Null) {
+                    st.stats.taken_branches += 1;
+                    pc = d.b;
+                } else {
+                    pc += 1;
+                }
+            }
+            op::GOTO => {
+                pc = d.b;
+            }
+            op::TABLE_SWITCH => {
+                let v = pop!().as_int()?;
+                st.stats.branches += 1;
+                st.stats.taken_branches += 1;
+                let sw = &decoded.switches[d.b as usize];
+                let idx = v.wrapping_sub(sw.low);
+                pc = if idx >= 0 && (idx as usize) < sw.targets.len() {
+                    sw.targets[idx as usize]
+                } else {
+                    sw.default
+                };
+            }
+            op::INVOKE_STATIC => {
+                enter_call!(FuncId(d.b), u32::from(d.a));
+            }
+            op::INVOKE_VIRTUAL => {
+                let argc = d.b;
+                let recv = slot(&st.arena.slab, sp - argc).as_ref_id()?;
+                let class = match st.heap.get(recv) {
+                    HeapObj::Object { class, .. } => *class,
+                    HeapObj::Array { .. } => {
+                        return Err(VmError::TypeError {
+                            expected: "object receiver",
+                            found: "array",
+                        })
+                    }
+                };
+                let callee = program.class(class).resolve(d.a);
+                st.stats.virtual_calls += 1;
+                enter_call!(callee, argc);
+            }
+            op::RETURN => {
+                let v = pop!();
+                st.stats.returns += 1;
+                st.arena.pop_frame();
+                if st.arena.depth() == 0 {
+                    return Ok(Some(v));
+                }
                 reload!();
-            }};
-        }
-        // --- Superinstruction support (see crate::fuse) ----------------
-        // Reads the shadow slot of the $i-th constituent of a fused
-        // group; the rewrite guarantees the whole group lies inside the
-        // stream (and inside one block).
-        macro_rules! shadow {
-            ($i:expr) => {{
-                debug_assert!(((pc + $i) as usize) < code.len(), "fused group in bounds");
-                // SAFETY: fuse::apply only plants heads whose full
-                // pattern matched within the stream.
-                unsafe { *code.get_unchecked((pc + $i) as usize) }
-            }};
-        }
-        // Fuel gate between fused constituents: the head was paid for by
-        // the loop prelude; each further constituent pays here, erroring
-        // at exactly the instruction count the unfused stream would.
-        macro_rules! fstep {
-            () => {{
-                if stats.instructions >= config.max_steps {
-                    return Err(VmError::OutOfFuel);
+                push!(v);
+            }
+            op::RETURN_VOID => {
+                st.stats.returns += 1;
+                st.arena.pop_frame();
+                if st.arena.depth() == 0 {
+                    return Ok(None);
                 }
-                stats.instructions += 1;
-            }};
-        }
-        // Evaluates the int binop `$opc` (IADD..=IXOR) with the exact
-        // semantics of the standalone handlers, including div/rem traps.
-        macro_rules! ibin {
-            ($opc:expr, $a:expr, $b:expr) => {{
-                let a: i64 = $a;
-                let b: i64 = $b;
-                match $opc {
-                    op::IADD => a.wrapping_add(b),
-                    op::ISUB => a.wrapping_sub(b),
-                    op::IMUL => a.wrapping_mul(b),
-                    op::IDIV => {
-                        if b == 0 {
-                            return Err(VmError::DivisionByZero);
-                        }
-                        a.wrapping_div(b)
+                reload!();
+            }
+            op::NEW => {
+                maybe_collect!();
+                let r = st.heap.alloc_object(ClassId(d.b), d.a);
+                push!(Value::Ref(r));
+                pc += 1;
+            }
+            op::GET_FIELD => {
+                let obj = pop!().as_ref_id()?;
+                match st.heap.get(obj) {
+                    HeapObj::Object { fields, .. } => {
+                        let v = *fields.get(d.a as usize).ok_or(VmError::BadField {
+                            field: d.a,
+                            num_fields: fields.len() as u16,
+                        })?;
+                        push!(v);
+                        pc += 1;
                     }
-                    op::IREM => {
-                        if b == 0 {
-                            return Err(VmError::DivisionByZero);
-                        }
-                        a.wrapping_rem(b)
+                    HeapObj::Array { .. } => {
+                        return Err(VmError::TypeError {
+                            expected: "object",
+                            found: "array",
+                        })
                     }
-                    op::ISHL => a.wrapping_shl(b as u32 & 63),
-                    op::ISHR => a.wrapping_shr(b as u32 & 63),
-                    op::IUSHR => ((a as u64) >> (b as u32 & 63)) as i64,
-                    op::IAND => a & b,
-                    op::IOR => a | b,
-                    op::IXOR => a ^ b,
-                    other => unreachable!("int binop family: opcode {other}"),
                 }
-            }};
-        }
-        // Float binop family (FADD..=FDIV), same semantics as the
-        // standalone handlers.
-        macro_rules! fbin {
-            ($opc:expr, $a:expr, $b:expr) => {{
-                let a: f64 = $a;
-                let b: f64 = $b;
-                match $opc {
-                    op::FADD => a + b,
-                    op::FSUB => a - b,
-                    op::FMUL => a * b,
-                    op::FDIV => a / b,
-                    other => unreachable!("float binop family: opcode {other}"),
+            }
+            op::PUT_FIELD => {
+                let v = pop!();
+                let obj = pop!().as_ref_id()?;
+                pc += 1;
+                match st.heap.get_mut(obj) {
+                    HeapObj::Object { fields, .. } => {
+                        let len = fields.len();
+                        *fields.get_mut(d.a as usize).ok_or(VmError::BadField {
+                            field: d.a,
+                            num_fields: len as u16,
+                        })? = v;
+                    }
+                    HeapObj::Array { .. } => {
+                        return Err(VmError::TypeError {
+                            expected: "object",
+                            found: "array",
+                        })
+                    }
                 }
-            }};
-        }
-        // Array element read with the exact trap order and messages of
-        // the standalone ALOAD handler.
-        macro_rules! aload_elem {
-            ($arr:expr, $idx:expr) => {{
-                let idx: i64 = $idx;
-                match heap.get($arr) {
+            }
+            op::NEW_ARRAY => {
+                let len = pop!().as_int()?;
+                maybe_collect!();
+                let r = st.heap.alloc_array(len)?;
+                push!(Value::Ref(r));
+                pc += 1;
+            }
+            op::ALOAD => {
+                let idx = pop!().as_int()?;
+                let arr = pop!().as_ref_id()?;
+                match st.heap.get(arr) {
                     HeapObj::Array { elems } => {
                         if idx < 0 || idx as usize >= elems.len() {
                             return Err(VmError::IndexOutOfBounds {
@@ -407,7 +879,9 @@ impl<'p> Vm<'p> {
                                 len: elems.len(),
                             });
                         }
-                        elems[idx as usize]
+                        let v = elems[idx as usize];
+                        push!(v);
+                        pc += 1;
                     }
                     HeapObj::Object { .. } => {
                         return Err(VmError::TypeError {
@@ -416,664 +890,526 @@ impl<'p> Vm<'p> {
                         })
                     }
                 }
-            }};
-        }
-
-        loop {
-            debug_assert!((pc as usize) < code.len(), "terminators bound the stream");
-            // SAFETY: verified functions end in terminators, so `pc` never
-            // runs past the decoded stream.
-            let d = unsafe { *code.get_unchecked(pc as usize) };
-
-            // Block-entry markers fire the dispatch event; they cost no
-            // fuel and are not instructions.
-            if d.op == op::ENTER_BLOCK {
-                stats.block_dispatches += 1;
-                observer.on_block(BlockId::new(func, d.b));
+            }
+            op::ASTORE => {
+                let v = pop!();
+                let idx = pop!().as_int()?;
+                let arr = pop!().as_ref_id()?;
                 pc += 1;
-                continue;
+                match st.heap.get_mut(arr) {
+                    HeapObj::Array { elems } => {
+                        if idx < 0 || idx as usize >= elems.len() {
+                            return Err(VmError::IndexOutOfBounds {
+                                index: idx,
+                                len: elems.len(),
+                            });
+                        }
+                        elems[idx as usize] = v;
+                    }
+                    HeapObj::Object { .. } => {
+                        return Err(VmError::TypeError {
+                            expected: "array",
+                            found: "object",
+                        })
+                    }
+                }
             }
-
-            if stats.instructions >= config.max_steps {
-                return Err(VmError::OutOfFuel);
+            op::ARRAY_LEN => {
+                let arr = pop!().as_ref_id()?;
+                match st.heap.get(arr) {
+                    HeapObj::Array { elems } => {
+                        let len = elems.len() as i64;
+                        push!(Value::Int(len));
+                        pc += 1;
+                    }
+                    HeapObj::Object { .. } => {
+                        return Err(VmError::TypeError {
+                            expected: "array",
+                            found: "object",
+                        })
+                    }
+                }
             }
-            stats.instructions += 1;
-
-            match d.op {
-                op::ICONST => {
-                    push!(Value::Int(decoded.iconsts[d.b as usize]));
-                    pc += 1;
+            op::NOP => {
+                pc += 1;
+            }
+            op::SQRT => {
+                let v = pop!().as_float()?;
+                push!(Value::Float(v.sqrt()));
+                pc += 1;
+            }
+            op::SIN => {
+                let v = pop!().as_float()?;
+                push!(Value::Float(v.sin()));
+                pc += 1;
+            }
+            op::COS => {
+                let v = pop!().as_float()?;
+                push!(Value::Float(v.cos()));
+                pc += 1;
+            }
+            op::EXP => {
+                let v = pop!().as_float()?;
+                push!(Value::Float(v.exp()));
+                pc += 1;
+            }
+            op::LOG => {
+                let v = pop!().as_float()?;
+                push!(Value::Float(v.ln()));
+                pc += 1;
+            }
+            op::ABS_F => {
+                let v = pop!().as_float()?;
+                push!(Value::Float(v.abs()));
+                pc += 1;
+            }
+            op::ABS_I => {
+                let v = pop!().as_int()?;
+                push!(Value::Int(v.wrapping_abs()));
+                pc += 1;
+            }
+            op::MIN_I => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                push!(Value::Int(a.min(b)));
+                pc += 1;
+            }
+            op::MAX_I => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                push!(Value::Int(a.max(b)));
+                pc += 1;
+            }
+            op::PRINT_INT => {
+                let v = pop!().as_int()?;
+                if config.capture_output {
+                    st.output.push(OutputItem::Int(v));
                 }
-                op::FCONST => {
-                    push!(Value::Float(decoded.fconsts[d.b as usize]));
-                    pc += 1;
+                pc += 1;
+            }
+            op::PRINT_FLOAT => {
+                let v = pop!().as_float()?;
+                if config.capture_output {
+                    st.output.push(OutputItem::Float(v));
                 }
-                op::CONST_NULL => {
-                    push!(Value::Null);
-                    pc += 1;
-                }
-                op::DUP => {
-                    push!(slot(&arena.slab, sp - 1));
-                    pc += 1;
-                }
-                op::DUP2 => {
-                    let a = slot(&arena.slab, sp - 2);
-                    let b = slot(&arena.slab, sp - 1);
-                    push!(a);
-                    push!(b);
-                    pc += 1;
-                }
-                op::POP => {
-                    let _ = pop!();
-                    pc += 1;
-                }
-                op::SWAP => {
-                    let a = slot(&arena.slab, sp - 1);
-                    let b = slot(&arena.slab, sp - 2);
-                    *slot_mut(&mut arena.slab, sp - 1) = b;
-                    *slot_mut(&mut arena.slab, sp - 2) = a;
-                    pc += 1;
-                }
-                op::LOAD => {
-                    push!(slot(&arena.slab, base + u32::from(d.a)));
-                    pc += 1;
-                }
-                op::STORE => {
-                    let v = pop!();
-                    *slot_mut(&mut arena.slab, base + u32::from(d.a)) = v;
-                    pc += 1;
-                }
-                op::IINC => {
-                    let i = base + u32::from(d.a);
-                    let v = slot(&arena.slab, i).as_int()?;
-                    *slot_mut(&mut arena.slab, i) = Value::Int(v.wrapping_add(d.b as i32 as i64));
-                    pc += 1;
-                }
-                op::IADD => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.wrapping_add(b)));
-                    pc += 1;
-                }
-                op::ISUB => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.wrapping_sub(b)));
-                    pc += 1;
-                }
-                op::IMUL => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.wrapping_mul(b)));
-                    pc += 1;
-                }
-                op::IDIV => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    if b == 0 {
-                        return Err(VmError::DivisionByZero);
-                    }
-                    push!(Value::Int(a.wrapping_div(b)));
-                    pc += 1;
-                }
-                op::IREM => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    if b == 0 {
-                        return Err(VmError::DivisionByZero);
-                    }
-                    push!(Value::Int(a.wrapping_rem(b)));
-                    pc += 1;
-                }
-                op::INEG => {
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.wrapping_neg()));
-                    pc += 1;
-                }
-                op::ISHL => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.wrapping_shl(b as u32 & 63)));
-                    pc += 1;
-                }
-                op::ISHR => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.wrapping_shr(b as u32 & 63)));
-                    pc += 1;
-                }
-                op::IUSHR => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(((a as u64) >> (b as u32 & 63)) as i64));
-                    pc += 1;
-                }
-                op::IAND => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a & b));
-                    pc += 1;
-                }
-                op::IOR => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a | b));
-                    pc += 1;
-                }
-                op::IXOR => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a ^ b));
-                    pc += 1;
-                }
-                op::FADD => {
-                    let b = pop!().as_float()?;
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(a + b));
-                    pc += 1;
-                }
-                op::FSUB => {
-                    let b = pop!().as_float()?;
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(a - b));
-                    pc += 1;
-                }
-                op::FMUL => {
-                    let b = pop!().as_float()?;
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(a * b));
-                    pc += 1;
-                }
-                op::FDIV => {
-                    let b = pop!().as_float()?;
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(a / b));
-                    pc += 1;
-                }
-                op::FNEG => {
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(-a));
-                    pc += 1;
-                }
-                op::I2F => {
-                    let a = pop!().as_int()?;
-                    push!(Value::Float(a as f64));
-                    pc += 1;
-                }
-                op::F2I => {
-                    let a = pop!().as_float()?;
-                    push!(Value::Int(a as i64));
-                    pc += 1;
-                }
-                op::IF_ICMP_EQ..=op::IF_ICMP_GE => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    stats.branches += 1;
-                    if eval_i_rel(d.op - op::IF_ICMP_EQ, a, b) {
-                        stats.taken_branches += 1;
-                        pc = d.b;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                op::IF_I_EQ..=op::IF_I_GE => {
-                    let a = pop!().as_int()?;
-                    stats.branches += 1;
-                    if eval_i_rel(d.op - op::IF_I_EQ, a, 0) {
-                        stats.taken_branches += 1;
-                        pc = d.b;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                op::IF_FCMP_EQ..=op::IF_FCMP_GE => {
-                    let b = pop!().as_float()?;
-                    let a = pop!().as_float()?;
-                    stats.branches += 1;
-                    if eval_f_rel(d.op - op::IF_FCMP_EQ, a, b) {
-                        stats.taken_branches += 1;
-                        pc = d.b;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                op::IF_NULL => {
-                    let v = pop!();
-                    stats.branches += 1;
-                    if matches!(v, Value::Null) {
-                        stats.taken_branches += 1;
-                        pc = d.b;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                op::IF_NON_NULL => {
-                    let v = pop!();
-                    stats.branches += 1;
-                    if !matches!(v, Value::Null) {
-                        stats.taken_branches += 1;
-                        pc = d.b;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                op::GOTO => {
-                    pc = d.b;
-                }
-                op::TABLE_SWITCH => {
-                    let v = pop!().as_int()?;
-                    stats.branches += 1;
-                    stats.taken_branches += 1;
-                    let sw = &decoded.switches[d.b as usize];
-                    let idx = v.wrapping_sub(sw.low);
-                    pc = if idx >= 0 && (idx as usize) < sw.targets.len() {
-                        sw.targets[idx as usize]
-                    } else {
-                        sw.default
-                    };
-                }
-                op::INVOKE_STATIC => {
-                    enter_call!(FuncId(d.b), u32::from(d.a));
-                }
-                op::INVOKE_VIRTUAL => {
-                    let argc = d.b;
-                    let recv = slot(&arena.slab, sp - argc).as_ref_id()?;
-                    let class = match heap.get(recv) {
-                        HeapObj::Object { class, .. } => *class,
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object receiver",
-                                found: "array",
-                            })
-                        }
-                    };
-                    let callee = program.class(class).resolve(d.a);
-                    stats.virtual_calls += 1;
-                    enter_call!(callee, argc);
-                }
-                op::RETURN => {
-                    let v = pop!();
-                    stats.returns += 1;
-                    arena.pop_frame();
-                    if arena.depth() == 0 {
-                        return Ok(Some(v));
-                    }
-                    reload!();
-                    push!(v);
-                }
-                op::RETURN_VOID => {
-                    stats.returns += 1;
-                    arena.pop_frame();
-                    if arena.depth() == 0 {
-                        return Ok(None);
-                    }
-                    reload!();
-                }
-                op::NEW => {
-                    maybe_collect!();
-                    let r = heap.alloc_object(ClassId(d.b), d.a);
-                    push!(Value::Ref(r));
-                    pc += 1;
-                }
-                op::GET_FIELD => {
-                    let obj = pop!().as_ref_id()?;
-                    match heap.get(obj) {
-                        HeapObj::Object { fields, .. } => {
-                            let v = *fields.get(d.a as usize).ok_or(VmError::BadField {
-                                field: d.a,
-                                num_fields: fields.len() as u16,
-                            })?;
-                            push!(v);
-                            pc += 1;
-                        }
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object",
-                                found: "array",
-                            })
-                        }
-                    }
-                }
-                op::PUT_FIELD => {
-                    let v = pop!();
-                    let obj = pop!().as_ref_id()?;
-                    pc += 1;
-                    match heap.get_mut(obj) {
-                        HeapObj::Object { fields, .. } => {
-                            let len = fields.len();
-                            *fields.get_mut(d.a as usize).ok_or(VmError::BadField {
-                                field: d.a,
-                                num_fields: len as u16,
-                            })? = v;
-                        }
-                        HeapObj::Array { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "object",
-                                found: "array",
-                            })
-                        }
-                    }
-                }
-                op::NEW_ARRAY => {
-                    let len = pop!().as_int()?;
-                    maybe_collect!();
-                    let r = heap.alloc_array(len)?;
-                    push!(Value::Ref(r));
-                    pc += 1;
-                }
-                op::ALOAD => {
-                    let idx = pop!().as_int()?;
-                    let arr = pop!().as_ref_id()?;
-                    match heap.get(arr) {
-                        HeapObj::Array { elems } => {
-                            if idx < 0 || idx as usize >= elems.len() {
-                                return Err(VmError::IndexOutOfBounds {
-                                    index: idx,
-                                    len: elems.len(),
-                                });
-                            }
-                            let v = elems[idx as usize];
-                            push!(v);
-                            pc += 1;
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
-                        }
-                    }
-                }
-                op::ASTORE => {
-                    let v = pop!();
-                    let idx = pop!().as_int()?;
-                    let arr = pop!().as_ref_id()?;
-                    pc += 1;
-                    match heap.get_mut(arr) {
-                        HeapObj::Array { elems } => {
-                            if idx < 0 || idx as usize >= elems.len() {
-                                return Err(VmError::IndexOutOfBounds {
-                                    index: idx,
-                                    len: elems.len(),
-                                });
-                            }
-                            elems[idx as usize] = v;
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
-                        }
-                    }
-                }
-                op::ARRAY_LEN => {
-                    let arr = pop!().as_ref_id()?;
-                    match heap.get(arr) {
-                        HeapObj::Array { elems } => {
-                            let len = elems.len() as i64;
-                            push!(Value::Int(len));
-                            pc += 1;
-                        }
-                        HeapObj::Object { .. } => {
-                            return Err(VmError::TypeError {
-                                expected: "array",
-                                found: "object",
-                            })
-                        }
-                    }
-                }
-                op::NOP => {
-                    pc += 1;
-                }
-                op::SQRT => {
-                    let v = pop!().as_float()?;
-                    push!(Value::Float(v.sqrt()));
-                    pc += 1;
-                }
-                op::SIN => {
-                    let v = pop!().as_float()?;
-                    push!(Value::Float(v.sin()));
-                    pc += 1;
-                }
-                op::COS => {
-                    let v = pop!().as_float()?;
-                    push!(Value::Float(v.cos()));
-                    pc += 1;
-                }
-                op::EXP => {
-                    let v = pop!().as_float()?;
-                    push!(Value::Float(v.exp()));
-                    pc += 1;
-                }
-                op::LOG => {
-                    let v = pop!().as_float()?;
-                    push!(Value::Float(v.ln()));
-                    pc += 1;
-                }
-                op::ABS_F => {
-                    let v = pop!().as_float()?;
-                    push!(Value::Float(v.abs()));
-                    pc += 1;
-                }
-                op::ABS_I => {
-                    let v = pop!().as_int()?;
-                    push!(Value::Int(v.wrapping_abs()));
-                    pc += 1;
-                }
-                op::MIN_I => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.min(b)));
-                    pc += 1;
-                }
-                op::MAX_I => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(a.max(b)));
-                    pc += 1;
-                }
-                op::PRINT_INT => {
-                    let v = pop!().as_int()?;
-                    if config.capture_output {
-                        output.push(OutputItem::Int(v));
-                    }
-                    pc += 1;
-                }
-                op::PRINT_FLOAT => {
-                    let v = pop!().as_float()?;
-                    if config.capture_output {
-                        output.push(OutputItem::Float(v));
-                    }
-                    pc += 1;
-                }
-                op::CHECKSUM => {
-                    let v = pop!().as_int()?;
-                    *checksum = fold_checksum(*checksum, v);
-                    pc += 1;
-                }
-                // --- Fused superinstructions (crate::fuse) -------------
-                // Each arm executes its constituents with the reference
-                // operand-evaluation and error order; `fstep!` charges
-                // fuel per constituent so OutOfFuel parity is exact.
-                // Operands of later constituents come from the shadow
-                // slots, which still hold the original DOps.
-                fop::LOAD_LOAD_IBIN => {
-                    let x = slot(&arena.slab, base + u32::from(d.a));
-                    fstep!();
-                    let d2 = shadow!(1);
-                    let y = slot(&arena.slab, base + u32::from(d2.a));
-                    fstep!();
-                    let d3 = shadow!(2);
-                    let b = y.as_int()?;
-                    let a = x.as_int()?;
-                    push!(Value::Int(ibin!(d3.op, a, b)));
+                pc += 1;
+            }
+            op::CHECKSUM => {
+                let v = pop!().as_int()?;
+                st.checksum = fold_checksum(st.checksum, v);
+                pc += 1;
+            }
+            // --- Fused superinstructions (crate::fuse) -------------
+            // Each arm executes its constituents with the reference
+            // operand-evaluation and error order; `fstep!` charges
+            // fuel per constituent so OutOfFuel parity is exact.
+            // Operands of later constituents come from the shadow
+            // slots, which still hold the original DOps.
+            fop::LOAD_LOAD_IBIN => {
+                let x = slot(&st.arena.slab, base + u32::from(d.a));
+                fstep!();
+                let d2 = shadow!(1);
+                let y = slot(&st.arena.slab, base + u32::from(d2.a));
+                fstep!();
+                let d3 = shadow!(2);
+                let b = y.as_int()?;
+                let a = x.as_int()?;
+                push!(Value::Int(ibin!(d3.op, a, b)));
+                pc += 3;
+            }
+            fop::LOAD_ICONST_IBIN => {
+                let x = slot(&st.arena.slab, base + u32::from(d.a));
+                fstep!();
+                let d2 = shadow!(1);
+                let b = decoded.iconsts[d2.b as usize];
+                fstep!();
+                let d3 = shadow!(2);
+                let a = x.as_int()?;
+                push!(Value::Int(ibin!(d3.op, a, b)));
+                pc += 3;
+            }
+            fop::LOAD_LOAD_ICMP => {
+                let x = slot(&st.arena.slab, base + u32::from(d.a));
+                fstep!();
+                let d2 = shadow!(1);
+                let y = slot(&st.arena.slab, base + u32::from(d2.a));
+                fstep!();
+                let d3 = shadow!(2);
+                let b = y.as_int()?;
+                let a = x.as_int()?;
+                st.stats.branches += 1;
+                if eval_i_rel(d3.op - op::IF_ICMP_EQ, a, b) {
+                    st.stats.taken_branches += 1;
+                    pc = d3.b;
+                } else {
                     pc += 3;
                 }
-                fop::LOAD_ICONST_IBIN => {
-                    let x = slot(&arena.slab, base + u32::from(d.a));
-                    fstep!();
-                    let d2 = shadow!(1);
-                    let b = decoded.iconsts[d2.b as usize];
-                    fstep!();
-                    let d3 = shadow!(2);
-                    let a = x.as_int()?;
-                    push!(Value::Int(ibin!(d3.op, a, b)));
-                    pc += 3;
-                }
-                fop::LOAD_LOAD_ICMP => {
-                    let x = slot(&arena.slab, base + u32::from(d.a));
-                    fstep!();
-                    let d2 = shadow!(1);
-                    let y = slot(&arena.slab, base + u32::from(d2.a));
-                    fstep!();
-                    let d3 = shadow!(2);
-                    let b = y.as_int()?;
-                    let a = x.as_int()?;
-                    stats.branches += 1;
-                    if eval_i_rel(d3.op - op::IF_ICMP_EQ, a, b) {
-                        stats.taken_branches += 1;
-                        pc = d3.b;
-                    } else {
-                        pc += 3;
-                    }
-                }
-                fop::LOAD_LOAD => {
-                    let x = slot(&arena.slab, base + u32::from(d.a));
-                    fstep!();
-                    let d2 = shadow!(1);
-                    push!(x);
-                    push!(slot(&arena.slab, base + u32::from(d2.a)));
-                    pc += 2;
-                }
-                fop::LOAD_ICONST => {
-                    let x = slot(&arena.slab, base + u32::from(d.a));
-                    fstep!();
-                    let d2 = shadow!(1);
-                    push!(x);
-                    push!(Value::Int(decoded.iconsts[d2.b as usize]));
-                    pc += 2;
-                }
-                fop::STORE_LOAD => {
-                    let v = pop!();
-                    *slot_mut(&mut arena.slab, base + u32::from(d.a)) = v;
-                    fstep!();
-                    let d2 = shadow!(1);
-                    push!(slot(&arena.slab, base + u32::from(d2.a)));
-                    pc += 2;
-                }
-                fop::LOAD_IBIN => {
-                    let y = slot(&arena.slab, base + u32::from(d.a));
-                    fstep!();
-                    let d2 = shadow!(1);
-                    let b = y.as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(ibin!(d2.op, a, b)));
-                    pc += 2;
-                }
-                fop::ICONST_IBIN => {
-                    let b = decoded.iconsts[d.b as usize];
-                    fstep!();
-                    let d2 = shadow!(1);
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(ibin!(d2.op, a, b)));
-                    pc += 2;
-                }
-                fop::LOAD_ICMP => {
-                    let y = slot(&arena.slab, base + u32::from(d.a));
-                    fstep!();
-                    let d2 = shadow!(1);
-                    let b = y.as_int()?;
-                    let a = pop!().as_int()?;
-                    stats.branches += 1;
-                    if eval_i_rel(d2.op - op::IF_ICMP_EQ, a, b) {
-                        stats.taken_branches += 1;
-                        pc = d2.b;
-                    } else {
-                        pc += 2;
-                    }
-                }
-                fop::ICONST_ICMP => {
-                    let b = decoded.iconsts[d.b as usize];
-                    fstep!();
-                    let d2 = shadow!(1);
-                    let a = pop!().as_int()?;
-                    stats.branches += 1;
-                    if eval_i_rel(d2.op - op::IF_ICMP_EQ, a, b) {
-                        stats.taken_branches += 1;
-                        pc = d2.b;
-                    } else {
-                        pc += 2;
-                    }
-                }
-                fop::IINC_GOTO => {
-                    let i = base + u32::from(d.a);
-                    let v = slot(&arena.slab, i).as_int()?;
-                    *slot_mut(&mut arena.slab, i) = Value::Int(v.wrapping_add(d.b as i32 as i64));
-                    fstep!();
-                    let d2 = shadow!(1);
-                    // GOTO is unconditional: no branch counters, like
-                    // the standalone handler.
+            }
+            fop::LOAD_LOAD => {
+                let x = slot(&st.arena.slab, base + u32::from(d.a));
+                fstep!();
+                let d2 = shadow!(1);
+                push!(x);
+                push!(slot(&st.arena.slab, base + u32::from(d2.a)));
+                pc += 2;
+            }
+            fop::LOAD_ICONST => {
+                let x = slot(&st.arena.slab, base + u32::from(d.a));
+                fstep!();
+                let d2 = shadow!(1);
+                push!(x);
+                push!(Value::Int(decoded.iconsts[d2.b as usize]));
+                pc += 2;
+            }
+            fop::STORE_LOAD => {
+                let v = pop!();
+                *slot_mut(&mut st.arena.slab, base + u32::from(d.a)) = v;
+                fstep!();
+                let d2 = shadow!(1);
+                push!(slot(&st.arena.slab, base + u32::from(d2.a)));
+                pc += 2;
+            }
+            fop::LOAD_IBIN => {
+                let y = slot(&st.arena.slab, base + u32::from(d.a));
+                fstep!();
+                let d2 = shadow!(1);
+                let b = y.as_int()?;
+                let a = pop!().as_int()?;
+                push!(Value::Int(ibin!(d2.op, a, b)));
+                pc += 2;
+            }
+            fop::ICONST_IBIN => {
+                let b = decoded.iconsts[d.b as usize];
+                fstep!();
+                let d2 = shadow!(1);
+                let a = pop!().as_int()?;
+                push!(Value::Int(ibin!(d2.op, a, b)));
+                pc += 2;
+            }
+            fop::LOAD_ICMP => {
+                let y = slot(&st.arena.slab, base + u32::from(d.a));
+                fstep!();
+                let d2 = shadow!(1);
+                let b = y.as_int()?;
+                let a = pop!().as_int()?;
+                st.stats.branches += 1;
+                if eval_i_rel(d2.op - op::IF_ICMP_EQ, a, b) {
+                    st.stats.taken_branches += 1;
                     pc = d2.b;
-                }
-                fop::IADD_STORE => {
-                    let b = pop!().as_int()?;
-                    let a = pop!().as_int()?;
-                    let v = Value::Int(a.wrapping_add(b));
-                    fstep!();
-                    let d2 = shadow!(1);
-                    *slot_mut(&mut arena.slab, base + u32::from(d2.a)) = v;
+                } else {
                     pc += 2;
                 }
-                fop::FCONST_FBIN => {
-                    let b = decoded.fconsts[d.b as usize];
-                    fstep!();
-                    let d2 = shadow!(1);
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(fbin!(d2.op, a, b)));
-                    pc += 2;
-                }
-                fop::LOAD_ALOAD => {
-                    let iv = slot(&arena.slab, base + u32::from(d.a));
-                    fstep!();
-                    let idx = iv.as_int()?;
-                    let arr = pop!().as_ref_id()?;
-                    push!(aload_elem!(arr, idx));
-                    pc += 2;
-                }
-                fop::ICONST_ALOAD => {
-                    let idx = decoded.iconsts[d.b as usize];
-                    fstep!();
-                    let arr = pop!().as_ref_id()?;
-                    push!(aload_elem!(arr, idx));
-                    pc += 2;
-                }
-                fop::ALOAD_IBIN => {
-                    let idx = pop!().as_int()?;
-                    let arr = pop!().as_ref_id()?;
-                    let ev = aload_elem!(arr, idx);
-                    fstep!();
-                    let d2 = shadow!(1);
-                    let b = ev.as_int()?;
-                    let a = pop!().as_int()?;
-                    push!(Value::Int(ibin!(d2.op, a, b)));
-                    pc += 2;
-                }
-                fop::ALOAD_FBIN => {
-                    let idx = pop!().as_int()?;
-                    let arr = pop!().as_ref_id()?;
-                    let ev = aload_elem!(arr, idx);
-                    fstep!();
-                    let d2 = shadow!(1);
-                    let b = ev.as_float()?;
-                    let a = pop!().as_float()?;
-                    push!(Value::Float(fbin!(d2.op, a, b)));
-                    pc += 2;
-                }
-                other => unreachable!("corrupt decoded stream: opcode {other}"),
             }
+            fop::ICONST_ICMP => {
+                let b = decoded.iconsts[d.b as usize];
+                fstep!();
+                let d2 = shadow!(1);
+                let a = pop!().as_int()?;
+                st.stats.branches += 1;
+                if eval_i_rel(d2.op - op::IF_ICMP_EQ, a, b) {
+                    st.stats.taken_branches += 1;
+                    pc = d2.b;
+                } else {
+                    pc += 2;
+                }
+            }
+            fop::IINC_GOTO => {
+                let i = base + u32::from(d.a);
+                let v = slot(&st.arena.slab, i).as_int()?;
+                *slot_mut(&mut st.arena.slab, i) = Value::Int(v.wrapping_add(d.b as i32 as i64));
+                fstep!();
+                let d2 = shadow!(1);
+                // GOTO is unconditional: no branch counters, like
+                // the standalone handler.
+                pc = d2.b;
+            }
+            fop::IADD_STORE => {
+                let b = pop!().as_int()?;
+                let a = pop!().as_int()?;
+                let v = Value::Int(a.wrapping_add(b));
+                fstep!();
+                let d2 = shadow!(1);
+                *slot_mut(&mut st.arena.slab, base + u32::from(d2.a)) = v;
+                pc += 2;
+            }
+            fop::FCONST_FBIN => {
+                let b = decoded.fconsts[d.b as usize];
+                fstep!();
+                let d2 = shadow!(1);
+                let a = pop!().as_float()?;
+                push!(Value::Float(fbin!(d2.op, a, b)));
+                pc += 2;
+            }
+            fop::LOAD_ALOAD => {
+                let iv = slot(&st.arena.slab, base + u32::from(d.a));
+                fstep!();
+                let idx = iv.as_int()?;
+                let arr = pop!().as_ref_id()?;
+                push!(aload_elem!(arr, idx));
+                pc += 2;
+            }
+            fop::ICONST_ALOAD => {
+                let idx = decoded.iconsts[d.b as usize];
+                fstep!();
+                let arr = pop!().as_ref_id()?;
+                push!(aload_elem!(arr, idx));
+                pc += 2;
+            }
+            fop::ALOAD_IBIN => {
+                let idx = pop!().as_int()?;
+                let arr = pop!().as_ref_id()?;
+                let ev = aload_elem!(arr, idx);
+                fstep!();
+                let d2 = shadow!(1);
+                let b = ev.as_int()?;
+                let a = pop!().as_int()?;
+                push!(Value::Int(ibin!(d2.op, a, b)));
+                pc += 2;
+            }
+            fop::ALOAD_FBIN => {
+                let idx = pop!().as_int()?;
+                let arr = pop!().as_ref_id()?;
+                let ev = aload_elem!(arr, idx);
+                fstep!();
+                let d2 = shadow!(1);
+                let b = ev.as_float()?;
+                let a = pop!().as_float()?;
+                push!(Value::Float(fbin!(d2.op, a, b)));
+                pc += 2;
+            }
+            other => unreachable!("corrupt decoded stream: opcode {other}"),
         }
     }
+}
+
+/// Executes one straight-line (non-control, unfused) decoded op on the
+/// arena's top frame with the loop's semantics and trap order. The
+/// decoded-trace executor uses it for a trace's plain ops, which live in
+/// the trace (the optimizer may have rewritten them), not in the
+/// program's streams. Fuel, `pc` and dispatch accounting are the
+/// caller's. Slab accesses are bounds-checked: this is not a hot path.
+///
+/// # Errors
+///
+/// Runtime traps, as the loop raises them.
+///
+/// # Panics
+///
+/// Panics on a control or fused opcode, or if no frame is active.
+pub fn exec_straightline(d: DOp, st: &mut RunState<'_>) -> Result<(), VmError> {
+    let arena = &mut st.arena;
+    if matches!(d.op, op::NEW | op::NEW_ARRAY) {
+        // Allocation: pop the length first (as the loop does), then
+        // collect with the frame flushed, then push the reference.
+        let len = if d.op == op::NEW_ARRAY {
+            let t = arena.frames.last_mut().expect("frame exists");
+            t.sp -= 1;
+            Some(arena.slab[t.sp as usize].as_int()?)
+        } else {
+            None
+        };
+        if st.heap.should_collect() {
+            st.heap.collect(arena.roots());
+        }
+        let r = match len {
+            Some(n) => st.heap.alloc_array(n)?,
+            None => st.heap.alloc_object(ClassId(d.b), d.a),
+        };
+        let t = arena.frames.last_mut().expect("frame exists");
+        arena.slab[t.sp as usize] = Value::Ref(r);
+        t.sp += 1;
+        return Ok(());
+    }
+    let top = arena.frames.last_mut().expect("frame exists");
+    let slab = &mut arena.slab;
+    let base = top.base as usize;
+    let mut sp = top.sp as usize;
+    macro_rules! push {
+        ($v:expr) => {{
+            let v = $v;
+            debug_assert!(sp < top.limit as usize, "verified max_stack bound");
+            slab[sp] = v;
+            sp += 1;
+        }};
+    }
+    macro_rules! pop {
+        () => {{
+            debug_assert!(
+                sp > top.stack_base as usize,
+                "verified code cannot underflow"
+            );
+            sp -= 1;
+            slab[sp]
+        }};
+    }
+    macro_rules! un {
+        ($get:ident, $wrap:expr) => {{
+            let v = pop!().$get()?;
+            push!($wrap(v));
+        }};
+    }
+    macro_rules! bin {
+        ($get:ident, $wrap:expr) => {{
+            let b = pop!().$get()?;
+            let a = pop!().$get()?;
+            push!($wrap(a, b));
+        }};
+    }
+    macro_rules! array {
+        ($r:expr) => {
+            match st.heap.get_mut($r) {
+                HeapObj::Array { elems } => elems,
+                HeapObj::Object { .. } => {
+                    return Err(VmError::TypeError {
+                        expected: "array",
+                        found: "object",
+                    })
+                }
+            }
+        };
+    }
+    macro_rules! fields {
+        ($r:expr) => {
+            match st.heap.get_mut($r) {
+                HeapObj::Object { fields, .. } => fields,
+                HeapObj::Array { .. } => {
+                    return Err(VmError::TypeError {
+                        expected: "object",
+                        found: "array",
+                    })
+                }
+            }
+        };
+    }
+    let int = Value::Int;
+    let float = Value::Float;
+    match d.op {
+        op::ICONST => push!(int(st.decoded.iconsts[d.b as usize])),
+        op::FCONST => push!(float(st.decoded.fconsts[d.b as usize])),
+        op::CONST_NULL => push!(Value::Null),
+        op::DUP => push!(slab[sp - 1]),
+        op::DUP2 => {
+            let (a, b) = (slab[sp - 2], slab[sp - 1]);
+            push!(a);
+            push!(b);
+        }
+        op::POP => {
+            let _ = pop!();
+        }
+        op::SWAP => slab.swap(sp - 1, sp - 2),
+        op::LOAD => push!(slab[base + d.a as usize]),
+        op::STORE => slab[base + d.a as usize] = pop!(),
+        op::IINC => {
+            let i = base + d.a as usize;
+            slab[i] = int(slab[i].as_int()?.wrapping_add(d.b as i32 as i64));
+        }
+        op::IADD => bin!(as_int, |a: i64, b| int(a.wrapping_add(b))),
+        op::ISUB => bin!(as_int, |a: i64, b| int(a.wrapping_sub(b))),
+        op::IMUL => bin!(as_int, |a: i64, b| int(a.wrapping_mul(b))),
+        op::IDIV | op::IREM => {
+            let b = pop!().as_int()?;
+            let a = pop!().as_int()?;
+            if b == 0 {
+                return Err(VmError::DivisionByZero);
+            }
+            push!(int(if d.op == op::IDIV {
+                a.wrapping_div(b)
+            } else {
+                a.wrapping_rem(b)
+            }));
+        }
+        op::INEG => un!(as_int, |a: i64| int(a.wrapping_neg())),
+        op::ISHL => bin!(as_int, |a: i64, b| int(a.wrapping_shl(b as u32 & 63))),
+        op::ISHR => bin!(as_int, |a: i64, b| int(a.wrapping_shr(b as u32 & 63))),
+        op::IUSHR => bin!(as_int, |a: i64, b| int(
+            ((a as u64) >> (b as u32 & 63)) as i64
+        )),
+        op::IAND => bin!(as_int, |a: i64, b| int(a & b)),
+        op::IOR => bin!(as_int, |a: i64, b| int(a | b)),
+        op::IXOR => bin!(as_int, |a: i64, b| int(a ^ b)),
+        op::FADD => bin!(as_float, |a: f64, b| float(a + b)),
+        op::FSUB => bin!(as_float, |a: f64, b| float(a - b)),
+        op::FMUL => bin!(as_float, |a: f64, b| float(a * b)),
+        op::FDIV => bin!(as_float, |a: f64, b| float(a / b)),
+        op::FNEG => un!(as_float, |a: f64| float(-a)),
+        op::I2F => un!(as_int, |a: i64| float(a as f64)),
+        op::F2I => un!(as_float, |a: f64| int(a as i64)),
+        op::GET_FIELD => {
+            let obj = pop!().as_ref_id()?;
+            let fields = fields!(obj);
+            let v = *fields.get(d.a as usize).ok_or(VmError::BadField {
+                field: d.a,
+                num_fields: fields.len() as u16,
+            })?;
+            push!(v);
+        }
+        op::PUT_FIELD => {
+            let v = pop!();
+            let obj = pop!().as_ref_id()?;
+            let fields = fields!(obj);
+            let num_fields = fields.len() as u16;
+            *fields.get_mut(d.a as usize).ok_or(VmError::BadField {
+                field: d.a,
+                num_fields,
+            })? = v;
+        }
+        op::ALOAD | op::ASTORE => {
+            let v = if d.op == op::ASTORE {
+                pop!()
+            } else {
+                Value::Null
+            };
+            let idx = pop!().as_int()?;
+            let arr = pop!().as_ref_id()?;
+            let elems = array!(arr);
+            if idx < 0 || idx as usize >= elems.len() {
+                return Err(VmError::IndexOutOfBounds {
+                    index: idx,
+                    len: elems.len(),
+                });
+            }
+            if d.op == op::ASTORE {
+                elems[idx as usize] = v;
+            } else {
+                let e = elems[idx as usize];
+                push!(e);
+            }
+        }
+        op::ARRAY_LEN => {
+            let arr = pop!().as_ref_id()?;
+            let len = array!(arr).len() as i64;
+            push!(int(len));
+        }
+        op::NOP => {}
+        op::SQRT => un!(as_float, |v: f64| float(v.sqrt())),
+        op::SIN => un!(as_float, |v: f64| float(v.sin())),
+        op::COS => un!(as_float, |v: f64| float(v.cos())),
+        op::EXP => un!(as_float, |v: f64| float(v.exp())),
+        op::LOG => un!(as_float, |v: f64| float(v.ln())),
+        op::ABS_F => un!(as_float, |v: f64| float(v.abs())),
+        op::ABS_I => un!(as_int, |v: i64| int(v.wrapping_abs())),
+        op::MIN_I => bin!(as_int, |a: i64, b| int(a.min(b))),
+        op::MAX_I => bin!(as_int, |a: i64, b| int(a.max(b))),
+        op::PRINT_INT => {
+            let v = pop!().as_int()?;
+            if st.config.capture_output {
+                st.output.push(OutputItem::Int(v));
+            }
+        }
+        op::PRINT_FLOAT => {
+            let v = pop!().as_float()?;
+            if st.config.capture_output {
+                st.output.push(OutputItem::Float(v));
+            }
+        }
+        op::CHECKSUM => {
+            let v = pop!().as_int()?;
+            st.checksum = fold_checksum(st.checksum, v);
+        }
+        other => unreachable!("not a straight-line decoded op: {other}"),
+    }
+    top.sp = sp as u32;
+    Ok(())
 }
 
 #[cfg(test)]
