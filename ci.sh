@@ -76,6 +76,10 @@ for w in mpegaudio-warm javac-warm soot-cold; do
         --workload "$w" --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct": true'
 done
 
+echo "== tracevm exec smoke (register trace tier; refusal count must be reported)"
+cargo run --release -q -p tracecache-repro --bin tracevm -- run javac --scale test --engine exec \
+    | grep 'compiled traces' | grep -q 'refused'
+
 echo "== hot-path bench smoke (test scale)"
 cargo run --release -p trace-bench --bin hot_path -- --smoke --out /tmp/BENCH_hot_path.smoke.json
 
@@ -85,10 +89,10 @@ cargo run --release -p trace-bench --bin hot_path -- --smoke --workload scimark 
 grep -q '"lowered-reg"' /tmp/BENCH_hot_path.reg.smoke.json
 grep -q '"reg_lowering"' /tmp/BENCH_hot_path.reg.smoke.json
 
-echo "== interp-speed bench smoke (test scale; fused leg + fusion stats must be present)"
+echo "== interp-speed bench smoke (test scale; fused + register-engine legs and fusion stats must be present)"
 cargo run --release -p trace-bench --bin interp_speed -- --smoke --out /tmp/BENCH_interp.smoke.json
 grep -q '"fused"' /tmp/BENCH_interp.smoke.json
-grep -q '"engine-dop"' /tmp/BENCH_interp.smoke.json
+grep -q '"lowered-reg"' /tmp/BENCH_interp.smoke.json
 grep -q '"fusion"' /tmp/BENCH_interp.smoke.json
 grep -q '"dispatches_eliminated"' /tmp/BENCH_interp.smoke.json
 grep -q '"hot_opcode_triples"' /tmp/BENCH_interp.smoke.json

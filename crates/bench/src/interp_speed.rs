@@ -21,20 +21,14 @@
 //! The report also carries the decoded-code and frame-arena byte
 //! footprints, since the decoded form trades memory for dispatch speed.
 //!
-//! Four additions ride along:
+//! Three additions ride along:
 //!
 //! * a **fused** leg — the same decoded `Vm` after the profile-driven
 //!   superinstruction pass (`jvm_vm::fuse`): a profiling run collects
 //!   block visits, selection picks the patterns that clear the default
 //!   thresholds, and the timed passes execute the quickened stream;
-//! * an **engine-dop** leg — a warm [`TracingVm`] with `reg_ir` *off*,
-//!   so hot traces execute from decoded `DOp` streams. This is the
-//!   apples-to-apples baseline for the register tier:
-//!   `reg_improvement_pct` compares the two warm engines, never a warm
-//!   engine against a bare interpreter (the old methodology double-
-//!   counted trace-pipeline overheads on one side — see EXPERIMENTS.md);
-//! * a **lowered-reg** leg (warm `TracingVm`, register-lowered traces),
-//!   as before;
+//! * a **lowered-reg** leg — a warm [`TracingVm`], whose hot traces run
+//!   from register-lowered code;
 //! * per-workload **opcode pair and triple histograms** — the hottest
 //!   dynamic adjacencies, reconstructed exactly from the block-dispatch
 //!   stream — the evidence base for the superinstruction table, plus
@@ -89,10 +83,6 @@ pub struct InterpRow {
     /// Decoded engine after profile-driven superinstruction fusion, ns
     /// per (source) instruction.
     pub fused_ns_per_instr: f64,
-    /// Warm trace-executing engine with decoded-`DOp` traces (`reg_ir`
-    /// off), ns per (source) instruction — the fair baseline for the
-    /// register tier.
-    pub engine_dop_ns_per_instr: f64,
     /// Warm trace-executing engine with register-lowered traces, ns per
     /// (source) instruction. Below `decoded_ns_per_instr` once the hot
     /// paths run from three-address code.
@@ -144,29 +134,10 @@ impl InterpRow {
         (1.0 - self.fused_ns_per_instr / self.decoded_ns_per_instr) * 100.0
     }
 
-    /// Decoded-trace engine, ns per block dispatch (of the source
-    /// stream — the engine itself dispatches far fewer blocks).
-    pub fn engine_dop_ns_per_dispatch(&self) -> f64 {
-        self.engine_dop_ns_per_instr * self.instructions as f64 / self.dispatches.max(1) as f64
-    }
-
     /// Register-trace engine, ns per block dispatch (of the source
     /// stream — the engine itself dispatches far fewer blocks).
     pub fn lowered_reg_ns_per_dispatch(&self) -> f64 {
         self.lowered_reg_ns_per_instr * self.instructions as f64 / self.dispatches.max(1) as f64
-    }
-
-    /// Percentage reduction of the register-trace engine relative to the
-    /// *decoded-trace engine* (positive = register traces faster). Both
-    /// sides are warm `TracingVm`s differing only in `reg_ir`, so this
-    /// isolates the lowering itself; comparing a warm engine against a
-    /// bare interpreter (the pre-fix methodology) mixes trace-pipeline
-    /// overheads into one side and is not reported any more.
-    pub fn reg_improvement_pct(&self) -> f64 {
-        if self.engine_dop_ns_per_instr == 0.0 {
-            return 0.0;
-        }
-        (1.0 - self.lowered_reg_ns_per_instr / self.engine_dop_ns_per_instr) * 100.0
     }
 }
 
@@ -268,12 +239,11 @@ impl InterpReport {
                     "    {{\"name\": \"{}\", \"instructions\": {}, \"dispatches\": {},\n",
                     "     \"ns_per_instruction\": ",
                     "{{\"reference\": {:.3}, \"decoded\": {:.3}, \"fused\": {:.3}, ",
-                    "\"engine-dop\": {:.3}, \"lowered-reg\": {:.3}, ",
-                    "\"improvement_pct\": {:.2}, \"fused_improvement_pct\": {:.2}, ",
-                    "\"reg_improvement_pct\": {:.2}}},\n",
+                    "\"lowered-reg\": {:.3}, ",
+                    "\"improvement_pct\": {:.2}, \"fused_improvement_pct\": {:.2}}},\n",
                     "     \"ns_per_dispatch\": ",
                     "{{\"reference\": {:.3}, \"decoded\": {:.3}, \"fused\": {:.3}, ",
-                    "\"engine-dop\": {:.3}, \"lowered-reg\": {:.3}}},\n",
+                    "\"lowered-reg\": {:.3}}},\n",
                     "     \"fusion\": {{\"candidates\": {}, \"applied\": {}, ",
                     "\"dispatches_eliminated\": {}, \"selected\": [{}]}},\n",
                     "     \"hot_opcode_pairs\": [{}],\n",
@@ -287,15 +257,12 @@ impl InterpReport {
                 r.reference_ns_per_instr,
                 r.decoded_ns_per_instr,
                 r.fused_ns_per_instr,
-                r.engine_dop_ns_per_instr,
                 r.lowered_reg_ns_per_instr,
                 r.improvement_pct(),
                 r.fused_improvement_pct(),
-                r.reg_improvement_pct(),
                 r.reference_ns_per_dispatch(),
                 r.decoded_ns_per_dispatch(),
                 r.fused_ns_per_dispatch(),
-                r.engine_dop_ns_per_dispatch(),
                 r.lowered_reg_ns_per_dispatch(),
                 r.fusion.candidates,
                 r.fusion.applied,
@@ -322,30 +289,19 @@ impl InterpReport {
             self.scale, self.repeats
         ));
         out.push_str(&format!(
-            "{:<10} {:>14} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>8}\n",
-            "workload",
-            "instructions",
-            "ref",
-            "decoded",
-            "fused",
-            "eng-dop",
-            "reg",
-            "fuse%",
-            "reg%",
-            "dec-KiB"
+            "{:<10} {:>14} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8}\n",
+            "workload", "instructions", "ref", "decoded", "fused", "reg", "fuse%", "dec-KiB"
         ));
         for r in &self.rows {
             out.push_str(&format!(
-                "{:<10} {:>14} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>6.1} {:>6.1} {:>8.1}\n",
+                "{:<10} {:>14} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>6.1} {:>8.1}\n",
                 r.name,
                 r.instructions,
                 r.reference_ns_per_instr,
                 r.decoded_ns_per_instr,
                 r.fused_ns_per_instr,
-                r.engine_dop_ns_per_instr,
                 r.lowered_reg_ns_per_instr,
                 r.fused_improvement_pct(),
-                r.reg_improvement_pct(),
                 r.decoded_memory.total() as f64 / 1024.0,
             ));
         }
@@ -566,39 +522,18 @@ fn measure_workload(w: &Workload, repeats: usize) -> InterpRow {
         std::hint::black_box(r);
     });
 
-    // Warm trace-executing engines. The untimed warm-up run inside
+    // Warm trace-executing engine. The untimed warm-up run inside
     // `min_secs` compiles the hot traces, so the timed passes run them
-    // from decoded `DOp` streams (engine-dop) and three-address register
-    // code (lowered-reg) respectively — the two legs differ only in
-    // `reg_ir`, which is what makes their ratio a fair lowering number.
+    // from three-address register code.
     let mut jit = TraceJitConfig::paper_default();
     jit.vm.capture_output = false;
-    let mut dop_engine = TracingVm::new(
-        &w.program,
-        EngineConfig {
-            jit,
-            optimize: true,
-            superinstructions: true,
-            reg_ir: false,
-            dop_fusion: true,
-            health: true,
-        },
-    );
-    let dop_secs = min_secs(repeats, || {
-        let r = dop_engine.run(&w.args).expect("runs");
-        std::hint::black_box(r.checksum);
-    });
-
     let mut reg_engine = TracingVm::new(
         &w.program,
         EngineConfig {
             jit,
-            optimize: true,
-            superinstructions: true,
-            reg_ir: true,
-            dop_fusion: true,
-            health: true,
-        },
+            ..EngineConfig::paper_default()
+        }
+        .with_optimizer(true),
     );
     let reg_secs = min_secs(repeats, || {
         let r = reg_engine.run(&w.args).expect("runs");
@@ -640,12 +575,6 @@ fn measure_workload(w: &Workload, repeats: usize) -> InterpRow {
     );
 
     assert_eq!(
-        dop_engine.run(&w.args).expect("runs").checksum,
-        w.expected_checksum,
-        "{}: decoded-trace engine diverged",
-        w.name
-    );
-    assert_eq!(
         reg_engine.run(&w.args).expect("runs").checksum,
         w.expected_checksum,
         "{}: register-trace engine diverged",
@@ -661,7 +590,6 @@ fn measure_workload(w: &Workload, repeats: usize) -> InterpRow {
         reference_ns_per_instr: ref_secs * 1e9 / instructions as f64,
         decoded_ns_per_instr: dec_secs * 1e9 / instructions as f64,
         fused_ns_per_instr: fused_secs * 1e9 / instructions as f64,
-        engine_dop_ns_per_instr: dop_secs * 1e9 / instructions as f64,
         lowered_reg_ns_per_instr: reg_secs * 1e9 / instructions as f64,
         hot_pairs,
         hot_triples,
@@ -709,7 +637,6 @@ mod tests {
             reference_ns_per_instr: 10.0,
             decoded_ns_per_instr: 5.0,
             fused_ns_per_instr: 4.0,
-            engine_dop_ns_per_instr: 5.0,
             lowered_reg_ns_per_instr: 2.5,
             hot_pairs: Vec::new(),
             hot_triples: Vec::new(),
@@ -722,10 +649,7 @@ mod tests {
         assert!((r.decoded_ns_per_dispatch() - 50.0).abs() < 1e-9);
         assert!((r.fused_ns_per_dispatch() - 40.0).abs() < 1e-9);
         assert!((r.fused_improvement_pct() - 20.0).abs() < 1e-9);
-        assert!((r.engine_dop_ns_per_dispatch() - 50.0).abs() < 1e-9);
         assert!((r.lowered_reg_ns_per_dispatch() - 25.0).abs() < 1e-9);
-        // reg improvement is engine-vs-engine: 2.5 vs 5.0 → 50%.
-        assert!((r.reg_improvement_pct() - 50.0).abs() < 1e-9);
     }
 
     #[test]
@@ -737,7 +661,6 @@ mod tests {
             reference_ns_per_instr: ref_ns,
             decoded_ns_per_instr: dec_ns,
             fused_ns_per_instr: dec_ns / 2.0,
-            engine_dop_ns_per_instr: dec_ns,
             lowered_reg_ns_per_instr: dec_ns,
             hot_pairs: Vec::new(),
             hot_triples: Vec::new(),
@@ -766,10 +689,6 @@ mod tests {
         assert!(json.contains("\"ns_per_instruction\""));
         assert!(json.contains("\"lowered-reg\""), "reg leg must be in JSON");
         assert!(json.contains("\"fused\""), "fused leg must be in JSON");
-        assert!(
-            json.contains("\"engine-dop\""),
-            "engine-dop leg must be in JSON"
-        );
         assert!(json.contains("\"fusion\""), "fusion stats must be in JSON");
         assert!(json.contains("\"dispatches_eliminated\""));
         assert!(json.contains("\"hot_opcode_pairs\""));

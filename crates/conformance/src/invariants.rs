@@ -7,11 +7,11 @@
 //! description of the violated paper rule; DESIGN.md ("Conformance
 //! invariants") maps every invariant to the rule it encodes.
 
-use jvm_bytecode::Program;
+use jvm_bytecode::{FuncId, Program};
 use jvm_vm::decode::DecodedProgram;
 use trace_bcg::BranchCorrelationGraph;
 use trace_cache::TraceCache;
-use trace_exec::{LoweredTrace, XInstr};
+use trace_exec::{RExit, RInstr, RegTrace};
 
 /// Graph-wide counter and state-machine invariants (§3.3, §4.1.1):
 /// counters bounded by the saturation limit, `total_weight` equal to the
@@ -94,14 +94,17 @@ pub fn check_link_coherence(cache: &TraceCache, bcg: &BranchCorrelationGraph) {
     }
 }
 
-/// Side-exit target validity: every guard's exit anchor in a lowered
-/// trace must resume at an in-range decoded pc of its function, inside
-/// the block the anchor names; every decoded jump target must be a block
-/// entry marker. A violation would make a failing guard resume the
-/// interpreter at a garbage pc — the exact class of bug trace execution
-/// must never exhibit.
-pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, lt: &LoweredTrace) {
-    let check_exit = |what: &str, e: &trace_exec::Exit| {
+/// Side-exit target validity: every exit record of a register trace
+/// must resume at an in-range decoded pc of its function, inside the
+/// block the record names, with in-range block accounting and frame
+/// image; every guard must anchor its exit in the function executing at
+/// that point; every switch-guard target, default and expectation must
+/// be a block entry marker; and call continuations must be in range. A
+/// violation would make a failing guard resume the interpreter at a
+/// garbage pc — the exact class of bug trace execution must never
+/// exhibit.
+pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, rt: &RegTrace) {
+    let check_exit = |what: &str, e: &RExit| {
         assert!(
             (e.func.0 as usize) < decoded.funcs.len(),
             "{what}: exit names unknown function {:?}",
@@ -123,18 +126,32 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, lt: &Lowere
             "{what}: exit block {} out of range",
             e.block
         );
+        assert!(
+            (e.blocks_done as usize) < rt.src_blocks.len(),
+            "{what}: exit after {} of {} trace blocks",
+            e.blocks_done,
+            rt.src_blocks.len()
+        );
+        assert!(
+            (e.image as usize) < rt.images.len(),
+            "{what}: exit image {} out of range",
+            e.image
+        );
     };
-    // Return continuations (`ret` on call guards) resume *mid-block* at
-    // the decoded pc right after the call — in range, but not required
+    for (i, e) in rt.exits.iter().enumerate() {
+        check_exit(&format!("exit {i}"), e);
+    }
+    // Return continuations (`ret` on call instructions) resume *mid-block*
+    // at the decoded pc right after the call — in range, but not required
     // to be a block entry.
-    let check_resume = |what: &str, func: jvm_bytecode::FuncId, t: u32| {
+    let check_resume = |what: &str, func: FuncId, t: u32| {
         let df = &decoded.funcs[func.0 as usize];
         assert!(
             (t as usize) < df.code.len(),
             "{what}: resume pc {t} out of range"
         );
     };
-    let check_marker = |what: &str, func: jvm_bytecode::FuncId, t: u32| {
+    let check_marker = |what: &str, func: FuncId, t: u32| {
         let df = &decoded.funcs[func.0 as usize];
         assert!(
             (t as usize) < df.code.len(),
@@ -145,63 +162,90 @@ pub fn check_side_exits(program: &Program, decoded: &DecodedProgram, lt: &Lowere
             "{what}: decoded target {t} is not a block entry marker"
         );
     };
+    let check_image = |what: &str, image: u32| {
+        assert!(
+            (image as usize) < rt.images.len(),
+            "{what}: frame image {image} out of range"
+        );
+    };
 
     // Exits anchor into the function owning each instruction. The
-    // lowered stream switches functions at Enter/GuardVirtual (into the
-    // callee) and GuardReturn (into the recorded continuation's
-    // function — which may leave the trace's entry function, so a call
-    // stack would not suffice); track the current function alongside
-    // and require every guard's exit to anchor inside it.
-    let mut cur = lt.src_blocks[0].func;
-    for x in &lt.code {
-        let check_exit_here = |what: &str, e: &trace_exec::Exit| {
-            check_exit(what, e);
+    // register stream switches functions at EnterStatic/GuardVirtual
+    // (into the callee), RetStatic (back to the statically known caller)
+    // and GuardReturn (into the recorded continuation's function — which
+    // may leave the trace's entry function); track the current function
+    // alongside and require every guard's exit to anchor inside it.
+    let mut cur = rt.src_blocks[0].func;
+    let mut callers: Vec<FuncId> = Vec::new();
+    for r in &rt.code {
+        let check_exit_here = |what: &str, exit: u32| {
+            let e = rt
+                .exits
+                .get(exit as usize)
+                .unwrap_or_else(|| panic!("{what}: exit {exit} out of range"));
             assert_eq!(
                 e.func, cur,
                 "{what}: exit anchors in {:?} but the stream is executing {cur:?}",
                 e.func
             );
         };
-        match x {
-            XInstr::Jump { target } => check_marker("jump", cur, *target),
-            XInstr::GuardCond { target, exit, .. } => {
-                check_exit_here("guard-cond", exit);
-                check_marker("guard-cond", cur, *target);
-            }
-            XInstr::GuardSwitch {
+        match r {
+            RInstr::GuardCond { exit, .. } => check_exit_here("guard-cond", *exit),
+            RInstr::GuardSwitch {
                 targets,
                 default,
                 expected,
                 exit,
                 ..
             } => {
-                check_exit_here("guard-switch", exit);
+                check_exit_here("guard-switch", *exit);
                 for &t in targets.iter() {
                     check_marker("guard-switch", cur, t);
                 }
                 check_marker("guard-switch-default", cur, *default);
                 check_marker("guard-switch-expected", cur, *expected);
             }
-            XInstr::EnterStatic { callee, ret } => {
+            RInstr::EnterStatic {
+                callee, ret, image, ..
+            } => {
                 check_resume("enter-static-ret", cur, *ret);
+                check_image("enter-static", *image);
+                callers.push(cur);
                 cur = *callee;
             }
-            XInstr::GuardVirtual {
+            RInstr::GuardVirtual {
                 expected,
                 ret,
                 exit,
                 ..
             } => {
-                check_exit_here("guard-virtual", exit);
+                check_exit_here("guard-virtual", *exit);
                 check_resume("guard-virtual-ret", cur, *ret);
+                callers.push(cur);
                 cur = *expected;
             }
-            XInstr::GuardReturn { expected, exit, .. } => {
-                check_exit_here("guard-return", exit);
+            RInstr::RetStatic { .. } => {
+                cur = callers
+                    .pop()
+                    .expect("ret-static: a static return needs an in-trace call");
+            }
+            RInstr::GuardReturn { expected, exit, .. } => {
+                check_exit_here("guard-return", *exit);
+                assert!(
+                    callers.is_empty(),
+                    "guard-return: runtime-guarded return inside an in-trace call"
+                );
                 cur = expected.func;
             }
-            XInstr::Finish { exit, .. } => check_exit_here("finish", exit),
-            XInstr::Op(_) | XInstr::Fused(_) | XInstr::FallThrough => {}
+            RInstr::NewObj { image, .. } | RInstr::NewArray { image, .. } => {
+                check_image("allocation", *image);
+            }
+            RInstr::Finish { exit, .. } => check_exit_here("finish", *exit),
+            _ => {}
         }
     }
+    assert!(
+        matches!(rt.code.last(), Some(RInstr::Finish { .. })),
+        "register traces end in Finish"
+    );
 }

@@ -239,7 +239,7 @@ fn linked_traces_have_valid_side_exits() {
         ls.run_program(&w.program, &w.args)
             .unwrap_or_else(|d| panic!("workload {}: {d}", w.name));
 
-        let mut decoded = DecodedProgram::decode(&w.program);
+        let decoded = DecodedProgram::decode(&w.program);
         for (entry, trace) in ls.cache.iter_links() {
             // Some cached traces legitimately refuse compilation
             // (disconnected block pairs after invalidation); validity
@@ -247,9 +247,10 @@ fn linked_traces_have_valid_side_exits() {
             let Ok(ct) = trace_exec::compile(&w.program, trace) else {
                 continue;
             };
-            let lt = trace_exec::lower_trace(&w.program, &mut decoded, &ct);
-            trace_conformance::invariants::check_side_exits(&w.program, &decoded, &lt);
-            let _ = entry;
+            let rt = trace_exec::lower_reg(&w.program, &decoded, &ct).unwrap_or_else(|| {
+                panic!("workload {}: trace at {entry:?} refused lowering", w.name)
+            });
+            trace_conformance::invariants::check_side_exits(&w.program, &decoded, &rt);
             checked += 1;
         }
     }

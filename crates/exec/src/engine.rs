@@ -39,8 +39,8 @@ use std::sync::Arc;
 use jvm_bytecode::{BlockId, FuncId, Intrinsic, Program};
 use jvm_vm::fuse::{BlockCounts, FusionConfig, FusionPlan, FusionProfile, FusionReport};
 use jvm_vm::{
-    exec_straightline, fold_checksum, run_with_hook, BlockHook, DecodedProgram, ExecStats, Flow,
-    FrameArena, Heap, HeapObj, OutputItem, RunState, Value, VmError,
+    fold_checksum, run_with_hook, BlockHook, DecodedProgram, ExecStats, Flow, FrameArena, Heap,
+    HeapObj, OutputItem, RunState, Value, VmError,
 };
 use trace_bcg::{BranchCorrelationGraph, NodeState, Signal, SignalKind};
 use trace_cache::{
@@ -51,10 +51,8 @@ use trace_jit::{RunReport, TraceJitConfig};
 use trace_persist::{program_hash, Snapshot, SnapshotError, SnapshotReader};
 
 use crate::compile::compile;
-use crate::fuse::{fuse_trace, FuseStats, Fused};
-use crate::lower::{lower_trace_frozen, LoweredTrace, XInstr};
 use crate::opt::{optimize_trace, OptStats};
-use crate::reg::{lower_reg, FrameImage, RBin, RInstr, RUn, RegStats, RegTrace, TraceArtifact};
+use crate::reg::{lower_reg, FrameImage, RBin, RInstr, RUn, RegStats, RegTrace};
 use crate::shared::SharedSession;
 
 /// Engine configuration.
@@ -64,14 +62,6 @@ pub struct EngineConfig {
     pub jit: TraceJitConfig,
     /// Whether compiled traces are run through the peephole optimizer.
     pub optimize: bool,
-    /// Whether compiled traces are fused into superinstructions
-    /// (accounting-transparent; on by default).
-    pub superinstructions: bool,
-    /// Whether compiled traces are lowered to the register IR
-    /// ([`crate::reg`]) and run in the register-file loop; traces the
-    /// register lowering refuses fall back to the decoded form. On by
-    /// default.
-    pub reg_ir: bool,
     /// Whether the out-of-trace decoded streams are rewritten with
     /// profile-driven DOp superinstructions ([`jvm_vm::fuse`]) after the
     /// first run: block visits are counted during the first run and the
@@ -91,14 +81,12 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Paper parameters, optimizer off (pure trace execution),
-    /// superinstruction fusion on, register-IR lowering on.
+    /// Paper parameters, optimizer off (pure trace execution), DOp
+    /// fusion and trace health on.
     pub fn paper_default() -> Self {
         EngineConfig {
             jit: TraceJitConfig::paper_default(),
             optimize: false,
-            superinstructions: true,
-            reg_ir: true,
             dop_fusion: true,
             health: true,
         }
@@ -110,15 +98,17 @@ impl EngineConfig {
         self
     }
 
-    /// Returns this configuration with superinstruction fusion toggled.
-    pub fn with_superinstructions(mut self, on: bool) -> Self {
-        self.superinstructions = on;
+    /// No-op: traces always run in register form and are never fused.
+    /// Kept only because the frozen `e2ebench` package still calls it;
+    /// the next change to that package removes it.
+    pub fn with_superinstructions(self, _on: bool) -> Self {
         self
     }
 
-    /// Returns this configuration with register-IR lowering toggled.
-    pub fn with_reg_ir(mut self, on: bool) -> Self {
-        self.reg_ir = on;
+    /// No-op: register-IR lowering is the only trace lowering. Kept only
+    /// because the frozen `e2ebench` package still calls it; the next
+    /// change to that package removes it.
+    pub fn with_reg_ir(self, _on: bool) -> Self {
         self
     }
 
@@ -163,7 +153,7 @@ pub struct WarmBootReport {
 /// Reads virtual register `r` without a release-mode bounds check.
 ///
 /// `lower_reg` numbers every operand below the trace's `num_regs` and
-/// [`Engine::execute_reg_trace`] grows the register file to at least
+/// [`Engine::execute`] grows the register file to at least
 /// that length on entry, so all register accesses are in range by
 /// construction (the same argument as the interpreter's slab `slot`).
 #[inline(always)]
@@ -204,8 +194,8 @@ enum ArtifactSlot {
     #[default]
     Unbuilt,
     /// Compiled and lowered.
-    Built(Rc<TraceArtifact>),
-    /// Compilation failed, or the decoded lowering refused it: never
+    Built(Rc<RegTrace>),
+    /// Compilation failed, or the register lowering refused it: never
     /// entered.
     Refused,
 }
@@ -242,7 +232,7 @@ pub struct TracingVm<'p> {
 }
 
 /// The engine's block hook: profiler, constructor, trace cache, compiled
-/// artifacts and the two trace executors.
+/// artifacts and the register-trace executor.
 #[derive(Debug)]
 struct Engine<'p> {
     program: &'p Program,
@@ -252,11 +242,9 @@ struct Engine<'p> {
     cache: TraceCache,
     /// Private-mode artifact table, indexed by [`TraceId::index`].
     artifacts: Vec<ArtifactSlot>,
-    /// Traces the frozen decoded lowering refused (they need an
-    /// optimizer-made constant the program pools lack).
-    frozen_refused: u64,
+    /// Compiled traces [`lower_reg`] refused (never entered).
+    reg_refused: u64,
     opt_stats: OptStats,
-    fuse_stats: FuseStats,
     reg_stats: RegStats,
     /// Block-visit profile accumulated during the first run; input to
     /// the DOp-fusion selection (see [`jvm_vm::fuse`]).
@@ -279,10 +267,10 @@ struct Engine<'p> {
     /// Per-VM memo of shared-cache artifacts (`None` = trace exists but
     /// has no artifact, e.g. its chain stopped matching the program flow;
     /// both outcomes are permanent for a given id).
-    shared_lowered: HashMap<TraceId, Option<Arc<TraceArtifact>>>,
+    shared_lowered: HashMap<TraceId, Option<Arc<RegTrace>>>,
     /// Monomorphic memo in front of `shared_lowered`: the last shared
     /// artifact that dispatched.
-    hot_shared: Option<(TraceId, Arc<TraceArtifact>)>,
+    hot_shared: Option<(TraceId, Arc<RegTrace>)>,
     /// `(trace id, consecutive immediate entry side-exits)` — the
     /// engine-side quarantine trigger (see [`ENTRY_EXIT_STREAK_LIMIT`]).
     entry_exit_streak: Option<(TraceId, u32)>,
@@ -331,9 +319,8 @@ impl<'p> TracingVm<'p> {
                 constructor: TraceConstructor::new(config.jit.constructor_config()),
                 cache: TraceCache::new(),
                 artifacts: Vec::new(),
-                frozen_refused: 0,
+                reg_refused: 0,
                 opt_stats: OptStats::default(),
-                fuse_stats: FuseStats::default(),
                 reg_stats: RegStats::default(),
                 block_visits: BlockCounts::for_program(program),
                 profile_fusion: false,
@@ -389,12 +376,6 @@ impl<'p> TracingVm<'p> {
         self.engine.opt_stats
     }
 
-    /// Aggregated superinstruction-fusion statistics over all compiled
-    /// traces.
-    pub fn fuse_stats(&self) -> FuseStats {
-        self.engine.fuse_stats
-    }
-
     /// Aggregated register-lowering statistics over all compiled traces
     /// (registers allocated, stack ops eliminated, guards fused).
     pub fn reg_stats(&self) -> RegStats {
@@ -402,7 +383,7 @@ impl<'p> TracingVm<'p> {
     }
 
     /// The artifacts compiled so far (private mode).
-    fn built(&self) -> impl Iterator<Item = &TraceArtifact> {
+    fn built(&self) -> impl Iterator<Item = &RegTrace> {
         self.engine.artifacts.iter().filter_map(|s| match s {
             ArtifactSlot::Built(a) => Some(&**a),
             _ => None,
@@ -414,23 +395,25 @@ impl<'p> TracingVm<'p> {
         self.built().count()
     }
 
-    /// Number of compiled traces running in register form.
+    /// Number of compiled traces running in register form: every built
+    /// artifact is a register trace, so this equals
+    /// [`Self::compiled_count`]. Kept only because the frozen `e2ebench`
+    /// package still calls it; the next change to that package removes
+    /// it.
     pub fn reg_lowered_count(&self) -> usize {
-        self.built()
-            .filter(|a| matches!(a, TraceArtifact::Reg(_)))
-            .count()
+        self.compiled_count()
     }
 
-    /// Number of traces the decoded fallback refused to lower because
-    /// they need a constant the program pools lack (only the optimizer
-    /// invents those). Such traces are never entered.
-    pub fn frozen_refused_count(&self) -> u64 {
-        self.engine.frozen_refused
+    /// Number of compiled traces the register lowering refused
+    /// ([`lower_reg`] returned `None`; private mode). Such traces are
+    /// never entered: the loop keeps interpreting them.
+    pub fn reg_refused_count(&self) -> u64 {
+        self.engine.reg_refused
     }
 
     /// Real byte footprint of all lowered traces.
     pub fn lowered_memory(&self) -> usize {
-        self.built().map(TraceArtifact::memory_estimate).sum()
+        self.built().map(RegTrace::memory_estimate).sum()
     }
 
     /// Output captured from print intrinsics during the most recent run
@@ -898,7 +881,7 @@ impl Engine<'_> {
     /// the artifact table, compiling on first use. `None` means the
     /// trace is never entered.
     #[inline]
-    fn artifact(&mut self, tid: TraceId, decoded: &DecodedProgram) -> Option<Rc<TraceArtifact>> {
+    fn artifact(&mut self, tid: TraceId, decoded: &DecodedProgram) -> Option<Rc<RegTrace>> {
         match self.artifacts.get(tid.index()) {
             Some(ArtifactSlot::Built(art)) => return Some(Rc::clone(art)),
             Some(ArtifactSlot::Refused) => return None,
@@ -913,16 +896,9 @@ impl Engine<'_> {
     }
 
     /// Compiles + lowers the artifact for a linked trace: optimize (as
-    /// configured), register-lower, or fall back to superinstruction
-    /// fusion + decoded lowering. The decoded streams are read-only
-    /// while the loop runs, so the fallback lowers frozen: a trace that
-    /// needs a constant the pools lack is refused (and counted). `None`
-    /// on a compile error or a refusal.
-    fn build_artifact(
-        &mut self,
-        tid: TraceId,
-        decoded: &DecodedProgram,
-    ) -> Option<Rc<TraceArtifact>> {
+    /// configured), then register-lower. `None` on a compile error or a
+    /// lowering refusal (counted); either way the trace is never entered.
+    fn build_artifact(&mut self, tid: TraceId, decoded: &DecodedProgram) -> Option<Rc<RegTrace>> {
         let mut ct = compile(self.program, self.cache.trace(tid)).ok()?;
         if self.config.optimize {
             let s = optimize_trace(&mut ct);
@@ -933,33 +909,17 @@ impl Engine<'_> {
             self.opt_stats.identities += s.identities;
             self.opt_stats.reductions += s.reductions;
         }
-        let reg = if self.config.reg_ir {
-            lower_reg(self.program, decoded, &ct)
-        } else {
-            None
+        let Some(rt) = lower_reg(self.program, decoded, &ct) else {
+            self.reg_refused += 1;
+            return None;
         };
-        if let Some(rt) = reg {
-            let s = rt.stats;
-            self.reg_stats.before += s.before;
-            self.reg_stats.after += s.after;
-            self.reg_stats.regs += s.regs;
-            self.reg_stats.eliminated += s.eliminated;
-            self.reg_stats.guards_fused += s.guards_fused;
-            return Some(Rc::new(TraceArtifact::Reg(rt)));
-        }
-        if self.config.superinstructions {
-            let s = fuse_trace(&mut ct);
-            self.fuse_stats.before += s.before;
-            self.fuse_stats.after += s.after;
-            self.fuse_stats.fused_groups += s.fused_groups;
-        }
-        match lower_trace_frozen(self.program, decoded, &ct) {
-            Some(lt) => Some(Rc::new(TraceArtifact::Decoded(lt))),
-            None => {
-                self.frozen_refused += 1;
-                None
-            }
-        }
+        let s = rt.stats;
+        self.reg_stats.before += s.before;
+        self.reg_stats.after += s.after;
+        self.reg_stats.regs += s.regs;
+        self.reg_stats.eliminated += s.eliminated;
+        self.reg_stats.guards_fused += s.guards_fused;
+        Some(Rc::new(rt))
     }
 
     /// Shared-mode analogue of [`Self::artifact`]: resolves a
@@ -976,7 +936,7 @@ impl Engine<'_> {
         &mut self,
         tid: TraceId,
         entry: trace_bcg::Branch,
-    ) -> Option<Arc<TraceArtifact>> {
+    ) -> Option<Arc<RegTrace>> {
         if let Some((hot_tid, art)) = &self.hot_shared {
             if *hot_tid == tid {
                 return Some(Arc::clone(art));
@@ -995,7 +955,7 @@ impl Engine<'_> {
                     #[cfg(feature = "debug-invariants")]
                     if let Some(art) = &artifact {
                         assert_eq!(
-                            art.src_blocks().first().copied(),
+                            art.src_blocks.first().copied(),
                             Some(entry.1),
                             "published artifact must start at the linked entry's target"
                         );
@@ -1024,30 +984,15 @@ impl Engine<'_> {
         Some(art)
     }
 
-    /// Runs one artifact entered from block `pre_entry`.
-    #[inline]
-    fn execute(
-        &mut self,
-        art: &TraceArtifact,
-        pre_entry: BlockId,
-        st: &mut RunState<'_>,
-    ) -> Result<TraceRun, VmError> {
-        self.trace_stats.entered += 1;
-        match art {
-            TraceArtifact::Reg(rt) => self.execute_reg_trace(rt, pre_entry, st),
-            TraceArtifact::Decoded(lt) => self.execute_trace(lt, pre_entry, st),
-        }
-    }
-
-    /// Side-exit bookkeeping shared by both executors: re-anchors the top
-    /// frame at the guarded instruction `dpc` of block `block` and
-    /// accounts for that block's dispatch **eagerly** — the resume pc
-    /// sits past the block's entry marker, so the loop will not re-fire
-    /// it — in the exact order the loop would (dispatch count, observe,
-    /// signal handling, prev-block update, outside-block count). The
-    /// resumed block never re-enters the trace whose guard just failed:
-    /// the remainder of the block runs in the loop before the next
-    /// dispatch point, as in the real system.
+    /// Side-exit bookkeeping: re-anchors the top frame at the guarded
+    /// instruction `dpc` of block `block` and accounts for that block's
+    /// dispatch **eagerly** — the resume pc sits past the block's entry
+    /// marker, so the loop will not re-fire it — in the exact order the
+    /// loop would (dispatch count, observe, signal handling, prev-block
+    /// update, outside-block count). The resumed block never re-enters
+    /// the trace whose guard just failed: the remainder of the block
+    /// runs in the loop before the next dispatch point, as in the real
+    /// system.
     fn side_exit(
         &mut self,
         st: &mut RunState<'_>,
@@ -1082,10 +1027,9 @@ impl Engine<'_> {
         }
     }
 
-    /// Completion bookkeeping shared by both executors: the top frame is
-    /// re-anchored at the final terminator (`dpc`), which the loop
-    /// executes and charges fuel for after [`Flow::Resume`]; it counts
-    /// as an in-trace instruction here.
+    /// Completion bookkeeping: the top frame is re-anchored at the final
+    /// terminator (`dpc`), which the loop executes and charges fuel for
+    /// after [`Flow::Resume`]; it counts as an in-trace instruction here.
     fn complete(
         &mut self,
         st: &mut RunState<'_>,
@@ -1103,254 +1047,19 @@ impl Engine<'_> {
         TraceRun::Completed
     }
 
-    /// Executes one decoded-form trace on the loop's frames.
-    fn execute_trace(
-        &mut self,
-        lt: &LoweredTrace,
-        pre_entry: BlockId,
-        st: &mut RunState<'_>,
-    ) -> Result<TraceRun, VmError> {
-        let max_steps = st.config.max_steps;
-        let mut blocks_done = 0u32;
-        let mut instrs = 0u64;
-
-        // Charges `$n` instructions of fuel, one at a time.
-        macro_rules! charge {
-            ($n:expr) => {{
-                for _ in 0..$n {
-                    if st.stats.instructions >= max_steps {
-                        return Err(VmError::OutOfFuel);
-                    }
-                    st.stats.instructions += 1;
-                }
-            }};
-        }
-        macro_rules! tick {
-            ($n:expr) => {{
-                charge!($n);
-                instrs += $n;
-            }};
-        }
-        // A guard whose operands trap: the branch or call it guards
-        // would have been charged before trapping.
-        macro_rules! guard_trap {
-            ($e:expr) => {
-                match $e {
-                    Ok(v) => v,
-                    Err(e) => {
-                        charge!(1);
-                        return Err(e);
-                    }
-                }
-            };
-        }
-        macro_rules! side_exit {
-            ($exit:expr) => {{
-                let x = $exit;
-                let src = &lt.src_blocks;
-                let site = (x.func, x.dpc, x.block);
-                return Ok(self.side_exit(st, site, src, pre_entry, blocks_done, instrs));
-            }};
-        }
-        // Top-of-stack slab index and the frame's locals base.
-        macro_rules! top {
-            () => {{
-                let t = st.arena.top();
-                (t.sp as usize, t.base as usize)
-            }};
-        }
-
-        for t in lt.code.iter() {
-            match t {
-                XInstr::Op(d) => {
-                    tick!(1);
-                    exec_straightline(*d, st)?;
-                }
-                XInstr::Fused(f) => {
-                    // Accounting-transparent: the group costs its full
-                    // source width in fuel and instruction counts. Only
-                    // `BinStore` can trap before its last constituent (in
-                    // its binop, the first).
-                    let w = f.width();
-                    let trap_at = if matches!(f, Fused::BinStore { .. }) {
-                        1
-                    } else {
-                        w
-                    };
-                    tick!(trap_at);
-                    let (mut sp, base) = top!();
-                    let slab = &mut st.arena.slab;
-                    let local = |slot: u16| base + slot as usize;
-                    match *f {
-                        Fused::LLBin { a, b, op } => {
-                            // Type errors surface in the pop order the
-                            // unfused sequence would use (right first).
-                            let vb = slab[local(b)].as_int()?;
-                            let va = slab[local(a)].as_int()?;
-                            slab[sp] = Value::Int(op.apply(va, vb));
-                            sp += 1;
-                        }
-                        Fused::LCBin { a, c, op } => {
-                            let va = slab[local(a)].as_int()?;
-                            slab[sp] = Value::Int(op.apply(va, c));
-                            sp += 1;
-                        }
-                        Fused::BinStore { op, d } => {
-                            let vb = slab[sp - 1].as_int()?;
-                            let va = slab[sp - 2].as_int()?;
-                            sp -= 2;
-                            slab[local(d)] = Value::Int(op.apply(va, vb));
-                        }
-                        Fused::Move { a, d } => slab[local(d)] = slab[local(a)],
-                        Fused::ConstStore { c, d } => slab[local(d)] = Value::Int(c),
-                        Fused::LoadLoad { a, b } => {
-                            slab[sp] = slab[local(a)];
-                            slab[sp + 1] = slab[local(b)];
-                            sp += 2;
-                        }
-                        Fused::ArrayGet { arr, idx } => {
-                            // Checks in the unfused pop order: index, then
-                            // array reference, then element type + bounds.
-                            let iv = slab[local(idx)].as_int()?;
-                            let av = slab[local(arr)].as_ref_id()?;
-                            slab[sp] = array_elem(&st.heap, av, iv)?;
-                            sp += 1;
-                        }
-                        Fused::ArraySet { arr, idx, val } => {
-                            let v = slab[local(val)];
-                            let iv = slab[local(idx)].as_int()?;
-                            let av = slab[local(arr)].as_ref_id()?;
-                            *array_elem_mut(&mut st.heap, av, iv)? = v;
-                        }
-                    }
-                    st.arena.top_mut().sp = sp as u32;
-                    tick!(w - trap_at);
-                }
-                XInstr::FallThrough => blocks_done += 1,
-                XInstr::Jump { target } => {
-                    tick!(1);
-                    st.arena.top_mut().pc = *target;
-                    blocks_done += 1;
-                }
-                XInstr::GuardCond {
-                    kind,
-                    expected_taken,
-                    target,
-                    exit,
-                } => {
-                    // Operands are peeked; a failed guard resumes at the
-                    // branch, which pops them.
-                    let (sp, _) = top!();
-                    let slab = &st.arena.slab;
-                    let taken = guard_trap!(kind.taken(slab[sp - kind.arity()], slab[sp - 1]));
-                    if taken != *expected_taken {
-                        side_exit!(exit);
-                    }
-                    tick!(1);
-                    st.stats.branches += 1;
-                    let t = st.arena.top_mut();
-                    t.sp -= kind.arity() as u32;
-                    if taken {
-                        st.stats.taken_branches += 1;
-                        t.pc = *target;
-                    } else {
-                        // Decoded fall-through: the next block's marker.
-                        t.pc = exit.dpc + 1;
-                    }
-                    blocks_done += 1;
-                }
-                XInstr::GuardSwitch {
-                    low,
-                    targets,
-                    default,
-                    expected,
-                    exit,
-                } => {
-                    let (sp, _) = top!();
-                    let v = guard_trap!(st.arena.slab[sp - 1].as_int());
-                    let idx = v.wrapping_sub(*low);
-                    let actual = if idx >= 0 && (idx as usize) < targets.len() {
-                        targets[idx as usize]
-                    } else {
-                        *default
-                    };
-                    if actual != *expected {
-                        side_exit!(exit);
-                    }
-                    tick!(1);
-                    st.stats.branches += 1;
-                    st.stats.taken_branches += 1;
-                    let t = st.arena.top_mut();
-                    t.sp -= 1;
-                    t.pc = *expected;
-                    blocks_done += 1;
-                }
-                XInstr::EnterStatic { callee, ret } => {
-                    tick!(1);
-                    st.arena.top_mut().pc = *ret;
-                    enter_call(st, *callee)?;
-                    blocks_done += 1;
-                }
-                XInstr::GuardVirtual {
-                    slot,
-                    argc,
-                    expected,
-                    ret,
-                    exit,
-                } => {
-                    let (sp, _) = top!();
-                    let recv = guard_trap!(st.arena.slab[sp - *argc as usize].as_ref_id());
-                    let callee = guard_trap!(resolve_virtual(st, recv, *slot));
-                    if callee != *expected {
-                        side_exit!(exit);
-                    }
-                    tick!(1);
-                    st.stats.virtual_calls += 1;
-                    st.arena.top_mut().pc = *ret;
-                    enter_call(st, callee)?;
-                    blocks_done += 1;
-                }
-                XInstr::GuardReturn {
-                    expected,
-                    has_value,
-                    exit,
-                } => {
-                    if !returns_to(st, *expected) {
-                        side_exit!(exit);
-                    }
-                    tick!(1);
-                    st.stats.returns += 1;
-                    let v = has_value.then(|| {
-                        let t = st.arena.top_mut();
-                        t.sp -= 1;
-                        t.sp
-                    });
-                    st.arena.pop_frame();
-                    if let Some(i) = v {
-                        let v = st.arena.slab[i as usize];
-                        push_real(&mut st.arena, v);
-                    }
-                    blocks_done += 1;
-                }
-                XInstr::Finish { exit, .. } => {
-                    return Ok(self.complete(st, exit.dpc, &lt.src_blocks, instrs));
-                }
-            }
-        }
-        unreachable!("compiled traces end in Finish")
-    }
-
-    /// Executes one register-lowered trace in the tight register-file
-    /// loop: a flat `Vec<Value>` register frame, no per-op operand-stack
-    /// bookkeeping. Fuel is charged in batches (each instruction's
-    /// weight covers the stack ops folded into it), which is
-    /// observationally identical to per-op ticking — see [`crate::reg`].
-    fn execute_reg_trace(
+    /// Executes one register-lowered trace, entered from block
+    /// `pre_entry`, in the tight register-file loop: a flat `Vec<Value>`
+    /// register frame, no per-op operand-stack bookkeeping. Fuel is
+    /// charged in batches (each instruction's weight covers the stack
+    /// ops folded into it), which is observationally identical to per-op
+    /// ticking — see [`crate::reg`].
+    fn execute(
         &mut self,
         rt: &RegTrace,
         pre_entry: BlockId,
         st: &mut RunState<'_>,
     ) -> Result<TraceRun, VmError> {
+        self.trace_stats.entered += 1;
         let mut regs = std::mem::take(&mut self.reg_file);
         // The lowering is single-assignment: every non-constant register
         // is written before it is read, so stale values from an earlier
@@ -1379,7 +1088,7 @@ impl Engine<'_> {
         run
     }
 
-    /// The register-file loop of [`Self::execute_reg_trace`]; `instrs`
+    /// The register-file loop of [`Self::execute`]; `instrs`
     /// counts the source instructions executed.
     fn run_reg_trace(
         &mut self,
@@ -1758,7 +1467,7 @@ impl Engine<'_> {
                     }
                     base = st.arena.top().base as usize;
                 }
-                RInstr::Finish { exit, pre, .. } => {
+                RInstr::Finish { exit, pre } => {
                     tick_n!(*pre);
                     let e = &rt.exits[*exit as usize];
                     materialize(&mut st.arena, &rt.images[e.image as usize], regs);

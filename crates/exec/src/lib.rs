@@ -19,24 +19,21 @@
 //!   optimisation is sound as long as side exits restore interpreter
 //!   state — which the guards guarantee by construction (they resume at
 //!   the guarded instruction with the operand stack untouched).
-//! * [`lower`] — lowers compiled traces onto the VM's pre-decoded form:
-//!   a [`LoweredTrace`] is a flat [`XInstr`] stream whose ordinary ops
-//!   are 8-byte decoded `DOp`s and whose guards carry pre-resolved
-//!   side-[`Exit`]s (decoded pc + block), so leaving a trace lands the
-//!   decoded interpreter directly on the right instruction.
-//! * [`reg`] — the final lowering stage: an abstract-stack pass renames
+//! * [`reg`] — the trace lowering: an abstract-stack pass renames
 //!   operand-stack slots and locals to **virtual registers**, folding
 //!   stack traffic into three-address [`RInstr`]s, fusing
 //!   compare-and-branch into single guard ops, and pre-resolving
 //!   constants into a per-trace constant table. Every guard carries a
 //!   [`FrameImage`] mapping live registers back to the stack/locals
 //!   frame, so a side exit reconstructs the interpreter frame exactly
-//!   at the guarded instruction.
+//!   at the guarded instruction. Side-exit anchors are decoded pcs, so
+//!   leaving a trace lands the decoded interpreter directly on the
+//!   right instruction. A trace the lowering refuses is never entered.
 //! * [`engine`] — [`TracingVm`], a complete execution engine: the
 //!   `jvm-vm` decoded interpreter loop runs out-of-trace code (fused
 //!   superinstructions included) with the engine attached as its block
 //!   hook — the profiler, as in the base system, plus the trace-entry
-//!   check — and cached traces execute from their lowered form on the
+//!   check — and cached traces execute from their register form on the
 //!   loop's own frame arena, eliminating the per-block dispatch and
 //!   profiling points inside traces.
 //!   Differential tests pin its semantics against the baseline
@@ -44,20 +41,15 @@
 
 pub mod compile;
 pub mod engine;
-pub mod fuse;
-pub mod lower;
 pub mod opt;
 pub mod reg;
 pub mod shared;
 
 pub use compile::{compile, compile_blocks, CompileError, CompiledTrace, CondKind, TInstr};
 pub use engine::{EngineConfig, TracingVm, WarmBootReport};
-pub use fuse::{fuse_trace, FuseStats, Fused, FusedBin};
-pub use lower::{lower_trace, lower_trace_frozen, Exit, LoweredTrace, XInstr};
 pub use opt::{optimize, OptStats};
 pub use reg::{
     disassemble, lower_reg, FrameImage, RBin, RExit, RInstr, RUn, Reg, RegStats, RegTrace,
-    TraceArtifact,
 };
 pub use shared::{
     artifact_builder, run_shared_constructor, run_supervised_shared_constructor, shared_session,

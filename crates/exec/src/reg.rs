@@ -2,9 +2,9 @@
 //! register linear IR.
 //!
 //! [`crate::compile`] produces straight-line stack code ([`TInstr`] over
-//! source instructions), and the decoded lowering ([`crate::lower`])
-//! executes it one stack push/pop at a time. A real tracing JIT resolves
-//! that operand traffic *at compile time*: inside a trace every value's
+//! source instructions), which an interpreter would execute one stack
+//! push/pop at a time. A real tracing JIT resolves that operand traffic
+//! *at compile time*: inside a trace every value's
 //! producer and consumer are known, so stack slots can be renamed to
 //! virtual registers and the pushes and pops deleted (the coldbrew and
 //! b3-rs pipelines in SNIPPETS.md §1/§3 are the exemplars). This pass
@@ -59,20 +59,21 @@
 //! referenced by the abstract state at every allocation point and thus
 //! rooted through the materialized frame.
 //!
-//! Lowering is *total* on the traces the engine compiles, with a few
-//! `None` fallbacks (the engine then runs the decoded form instead): an
-//! in-trace return whose recorded continuation contradicts the static
-//! call site, a continuation block whose entry depth is unreachable in
-//! the depth map, and register-file overflow.
+//! This is the engine's only trace lowering. It is total on the traces
+//! the engine compiles, with a few `None` refusals: an in-trace return
+//! whose recorded continuation contradicts the static call site, a
+//! continuation block whose entry depth is unreachable in the depth map,
+//! and register-file overflow. A refused trace is never entered (the
+//! engine counts it and keeps interpreting) — always sound, since the
+//! untraced loop is the reference semantics.
 
 use std::collections::HashMap;
 
 use jvm_bytecode::{stack_depths, BlockId, ClassId, CmpOp, FuncId, Instr, Intrinsic, Program};
-use jvm_vm::{DOp, DecodedProgram, Value};
+use jvm_vm::{DecodedProgram, Value};
 use trace_cache::TraceId;
 
 use crate::compile::{CompiledTrace, CondKind, TInstr};
-use crate::lower::LoweredTrace;
 
 /// A virtual register index into the trace's flat register file.
 pub type Reg = u16;
@@ -465,12 +466,10 @@ pub enum RInstr {
         /// Pre-evaluation fuel weight.
         pre: u32,
     },
-    /// The final block's terminator: materialize the exit's image,
-    /// re-anchor the pc, and execute the original decoded op with full
-    /// interpreter semantics; the trace then completes.
+    /// The final block's terminator: materialize the exit's image and
+    /// re-anchor the pc at the terminator, which the interpreter loop
+    /// then executes with full semantics; the trace then completes.
     Finish {
-        /// The decoded terminator.
-        op: DOp,
         /// Exit record carrying the resume pc and frame image.
         exit: u32,
         /// Pre-execution fuel weight.
@@ -478,8 +477,7 @@ pub enum RInstr {
     },
 }
 
-/// Per-trace lowering statistics, aggregated by the engine like
-/// [`crate::fuse::FuseStats`].
+/// Per-trace lowering statistics, aggregated by the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegStats {
     /// Compiled (stack) instructions before lowering.
@@ -543,37 +541,6 @@ impl RegTrace {
             }
         }
         bytes
-    }
-}
-
-/// A published trace artifact: the register form when lowering
-/// succeeded, the decoded stack form otherwise. Both the private cache
-/// and the shared cache store this type, so the register form flows
-/// through frozen publication unchanged (its constants are inline — no
-/// pool interning).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceArtifact {
-    /// Register-lowered form (the fast path).
-    Reg(RegTrace),
-    /// Decoded stack form (fallback).
-    Decoded(LoweredTrace),
-}
-
-impl TraceArtifact {
-    /// The source block sequence.
-    pub fn src_blocks(&self) -> &[BlockId] {
-        match self {
-            TraceArtifact::Reg(rt) => &rt.src_blocks,
-            TraceArtifact::Decoded(lt) => &lt.src_blocks,
-        }
-    }
-
-    /// Real byte footprint of the artifact.
-    pub fn memory_estimate(&self) -> usize {
-        match self {
-            TraceArtifact::Reg(rt) => rt.memory_estimate(),
-            TraceArtifact::Decoded(lt) => lt.memory_estimate(),
-        }
     }
 }
 
@@ -789,7 +756,7 @@ impl<'a> Lowering<'a> {
 /// frozen (shared) publication.
 ///
 /// Returns `None` when the trace cannot be expressed in register form
-/// (see the module docs); the caller falls back to the decoded lowering.
+/// (see the module docs); the caller then never enters the trace.
 pub fn lower_reg(
     program: &Program,
     decoded: &DecodedProgram,
@@ -961,7 +928,7 @@ pub fn lower_reg(
                     // The caller is on the lowering stack: the
                     // continuation is statically known. A recorded
                     // continuation that contradicts the call site cannot
-                    // execute — refuse and let the decoded form handle it.
+                    // execute — refuse the trace.
                     if lo.callers.last().expect("nonempty").cont_block != *expected {
                         return None;
                     }
@@ -978,17 +945,9 @@ pub fn lower_reg(
             TInstr::Finish { instr: _, func, pc } => {
                 let exit = lo.exit_for(*func, *pc);
                 let pre = lo.take_pre();
-                let dpc = lo.exits[exit as usize].dpc;
-                lo.code.push(RInstr::Finish {
-                    op: lo.decoded.func(*func).code[dpc as usize],
-                    exit,
-                    pre,
-                });
+                lo.code.push(RInstr::Finish { exit, pre });
                 lo.block_idx += 1;
             }
-            // Lowering runs on pre-fusion code; a fused group cannot
-            // appear. Refuse rather than trust.
-            TInstr::Fused(_) => return None,
         }
     }
     debug_assert_eq!(lo.pending_w, 0, "Finish consumes all pending weight");
@@ -1379,7 +1338,7 @@ pub fn disassemble(rt: &RegTrace) -> String {
                 };
                 format!("guard ret{v} -> {expected} else exit {exit} [pre={pre}]")
             }
-            RInstr::Finish { exit, pre, .. } => format!("finish exit {exit} [pre={pre}]"),
+            RInstr::Finish { exit, pre } => format!("finish exit {exit} [pre={pre}]"),
         };
         let _ = writeln!(s, "{i:4}: {line}");
     }
@@ -1404,4 +1363,43 @@ pub fn disassemble(rt: &RegTrace) -> String {
         );
     }
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile::compile_blocks;
+    use jvm_bytecode::ProgramBuilder;
+
+    #[test]
+    fn return_contradicting_its_call_site_is_refused() {
+        // main: b0 = `invokestatic leaf`, b1 = `return`; leaf: `return 5`.
+        let mut pb = ProgramBuilder::new();
+        let leaf = pb.declare_function("leaf", 0, true);
+        pb.function_mut(leaf).iconst(5).ret();
+        let main = pb.declare_function("main", 0, true);
+        pb.function_mut(main).invoke_static(leaf).ret();
+        let p = pb.build(main).unwrap();
+        let d = DecodedProgram::decode(&p);
+        let id = TraceId::from_raw(0);
+        let (m0, m1, l0) = (
+            BlockId::new(main, 0),
+            BlockId::new(main, 1),
+            BlockId::new(leaf, 0),
+        );
+
+        let consistent = compile_blocks(&p, id, &[m0, l0, m1]).unwrap();
+        assert!(lower_reg(&p, &d, &consistent).is_some());
+
+        // The recorded continuation (main b0) is not where the static
+        // call site returns to (main b1): compilation keeps it as a
+        // return guard, but the register lowering resolves in-trace
+        // returns statically and must refuse the chain.
+        let contradictory = compile_blocks(&p, id, &[m0, l0, m0]).unwrap();
+        assert!(contradictory
+            .code
+            .iter()
+            .any(|t| matches!(t, TInstr::GuardReturn { expected, .. } if *expected == m0)));
+        assert!(lower_reg(&p, &d, &contradictory).is_none());
+    }
 }

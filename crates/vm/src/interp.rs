@@ -1182,236 +1182,6 @@ pub fn run_with_hook<H: BlockHook>(
     }
 }
 
-/// Executes one straight-line (non-control, unfused) decoded op on the
-/// arena's top frame with the loop's semantics and trap order. The
-/// decoded-trace executor uses it for a trace's plain ops, which live in
-/// the trace (the optimizer may have rewritten them), not in the
-/// program's streams. Fuel, `pc` and dispatch accounting are the
-/// caller's. Slab accesses are bounds-checked: this is not a hot path.
-///
-/// # Errors
-///
-/// Runtime traps, as the loop raises them.
-///
-/// # Panics
-///
-/// Panics on a control or fused opcode, or if no frame is active.
-pub fn exec_straightline(d: DOp, st: &mut RunState<'_>) -> Result<(), VmError> {
-    let arena = &mut st.arena;
-    if matches!(d.op, op::NEW | op::NEW_ARRAY) {
-        // Allocation: pop the length first (as the loop does), then
-        // collect with the frame flushed, then push the reference.
-        let len = if d.op == op::NEW_ARRAY {
-            let t = arena.frames.last_mut().expect("frame exists");
-            t.sp -= 1;
-            Some(arena.slab[t.sp as usize].as_int()?)
-        } else {
-            None
-        };
-        if st.heap.should_collect() {
-            st.heap.collect(arena.roots());
-        }
-        let r = match len {
-            Some(n) => st.heap.alloc_array(n)?,
-            None => st.heap.alloc_object(ClassId(d.b), d.a),
-        };
-        let t = arena.frames.last_mut().expect("frame exists");
-        arena.slab[t.sp as usize] = Value::Ref(r);
-        t.sp += 1;
-        return Ok(());
-    }
-    let top = arena.frames.last_mut().expect("frame exists");
-    let slab = &mut arena.slab;
-    let base = top.base as usize;
-    let mut sp = top.sp as usize;
-    macro_rules! push {
-        ($v:expr) => {{
-            let v = $v;
-            debug_assert!(sp < top.limit as usize, "verified max_stack bound");
-            slab[sp] = v;
-            sp += 1;
-        }};
-    }
-    macro_rules! pop {
-        () => {{
-            debug_assert!(
-                sp > top.stack_base as usize,
-                "verified code cannot underflow"
-            );
-            sp -= 1;
-            slab[sp]
-        }};
-    }
-    macro_rules! un {
-        ($get:ident, $wrap:expr) => {{
-            let v = pop!().$get()?;
-            push!($wrap(v));
-        }};
-    }
-    macro_rules! bin {
-        ($get:ident, $wrap:expr) => {{
-            let b = pop!().$get()?;
-            let a = pop!().$get()?;
-            push!($wrap(a, b));
-        }};
-    }
-    macro_rules! array {
-        ($r:expr) => {
-            match st.heap.get_mut($r) {
-                HeapObj::Array { elems } => elems,
-                HeapObj::Object { .. } => {
-                    return Err(VmError::TypeError {
-                        expected: "array",
-                        found: "object",
-                    })
-                }
-            }
-        };
-    }
-    macro_rules! fields {
-        ($r:expr) => {
-            match st.heap.get_mut($r) {
-                HeapObj::Object { fields, .. } => fields,
-                HeapObj::Array { .. } => {
-                    return Err(VmError::TypeError {
-                        expected: "object",
-                        found: "array",
-                    })
-                }
-            }
-        };
-    }
-    let int = Value::Int;
-    let float = Value::Float;
-    match d.op {
-        op::ICONST => push!(int(st.decoded.iconsts[d.b as usize])),
-        op::FCONST => push!(float(st.decoded.fconsts[d.b as usize])),
-        op::CONST_NULL => push!(Value::Null),
-        op::DUP => push!(slab[sp - 1]),
-        op::DUP2 => {
-            let (a, b) = (slab[sp - 2], slab[sp - 1]);
-            push!(a);
-            push!(b);
-        }
-        op::POP => {
-            let _ = pop!();
-        }
-        op::SWAP => slab.swap(sp - 1, sp - 2),
-        op::LOAD => push!(slab[base + d.a as usize]),
-        op::STORE => slab[base + d.a as usize] = pop!(),
-        op::IINC => {
-            let i = base + d.a as usize;
-            slab[i] = int(slab[i].as_int()?.wrapping_add(d.b as i32 as i64));
-        }
-        op::IADD => bin!(as_int, |a: i64, b| int(a.wrapping_add(b))),
-        op::ISUB => bin!(as_int, |a: i64, b| int(a.wrapping_sub(b))),
-        op::IMUL => bin!(as_int, |a: i64, b| int(a.wrapping_mul(b))),
-        op::IDIV | op::IREM => {
-            let b = pop!().as_int()?;
-            let a = pop!().as_int()?;
-            if b == 0 {
-                return Err(VmError::DivisionByZero);
-            }
-            push!(int(if d.op == op::IDIV {
-                a.wrapping_div(b)
-            } else {
-                a.wrapping_rem(b)
-            }));
-        }
-        op::INEG => un!(as_int, |a: i64| int(a.wrapping_neg())),
-        op::ISHL => bin!(as_int, |a: i64, b| int(a.wrapping_shl(b as u32 & 63))),
-        op::ISHR => bin!(as_int, |a: i64, b| int(a.wrapping_shr(b as u32 & 63))),
-        op::IUSHR => bin!(as_int, |a: i64, b| int(
-            ((a as u64) >> (b as u32 & 63)) as i64
-        )),
-        op::IAND => bin!(as_int, |a: i64, b| int(a & b)),
-        op::IOR => bin!(as_int, |a: i64, b| int(a | b)),
-        op::IXOR => bin!(as_int, |a: i64, b| int(a ^ b)),
-        op::FADD => bin!(as_float, |a: f64, b| float(a + b)),
-        op::FSUB => bin!(as_float, |a: f64, b| float(a - b)),
-        op::FMUL => bin!(as_float, |a: f64, b| float(a * b)),
-        op::FDIV => bin!(as_float, |a: f64, b| float(a / b)),
-        op::FNEG => un!(as_float, |a: f64| float(-a)),
-        op::I2F => un!(as_int, |a: i64| float(a as f64)),
-        op::F2I => un!(as_float, |a: f64| int(a as i64)),
-        op::GET_FIELD => {
-            let obj = pop!().as_ref_id()?;
-            let fields = fields!(obj);
-            let v = *fields.get(d.a as usize).ok_or(VmError::BadField {
-                field: d.a,
-                num_fields: fields.len() as u16,
-            })?;
-            push!(v);
-        }
-        op::PUT_FIELD => {
-            let v = pop!();
-            let obj = pop!().as_ref_id()?;
-            let fields = fields!(obj);
-            let num_fields = fields.len() as u16;
-            *fields.get_mut(d.a as usize).ok_or(VmError::BadField {
-                field: d.a,
-                num_fields,
-            })? = v;
-        }
-        op::ALOAD | op::ASTORE => {
-            let v = if d.op == op::ASTORE {
-                pop!()
-            } else {
-                Value::Null
-            };
-            let idx = pop!().as_int()?;
-            let arr = pop!().as_ref_id()?;
-            let elems = array!(arr);
-            if idx < 0 || idx as usize >= elems.len() {
-                return Err(VmError::IndexOutOfBounds {
-                    index: idx,
-                    len: elems.len(),
-                });
-            }
-            if d.op == op::ASTORE {
-                elems[idx as usize] = v;
-            } else {
-                let e = elems[idx as usize];
-                push!(e);
-            }
-        }
-        op::ARRAY_LEN => {
-            let arr = pop!().as_ref_id()?;
-            let len = array!(arr).len() as i64;
-            push!(int(len));
-        }
-        op::NOP => {}
-        op::SQRT => un!(as_float, |v: f64| float(v.sqrt())),
-        op::SIN => un!(as_float, |v: f64| float(v.sin())),
-        op::COS => un!(as_float, |v: f64| float(v.cos())),
-        op::EXP => un!(as_float, |v: f64| float(v.exp())),
-        op::LOG => un!(as_float, |v: f64| float(v.ln())),
-        op::ABS_F => un!(as_float, |v: f64| float(v.abs())),
-        op::ABS_I => un!(as_int, |v: i64| int(v.wrapping_abs())),
-        op::MIN_I => bin!(as_int, |a: i64, b| int(a.min(b))),
-        op::MAX_I => bin!(as_int, |a: i64, b| int(a.max(b))),
-        op::PRINT_INT => {
-            let v = pop!().as_int()?;
-            if st.config.capture_output {
-                st.output.push(OutputItem::Int(v));
-            }
-        }
-        op::PRINT_FLOAT => {
-            let v = pop!().as_float()?;
-            if st.config.capture_output {
-                st.output.push(OutputItem::Float(v));
-            }
-        }
-        op::CHECKSUM => {
-            let v = pop!().as_int()?;
-            st.checksum = fold_checksum(st.checksum, v);
-        }
-        other => unreachable!("not a straight-line decoded op: {other}"),
-    }
-    top.sp = sp as u32;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -57,9 +57,7 @@ pub use dispatch::DispatchCounts;
 pub use error::VmError;
 pub use fuse::{BlockCounts, FuseQuirk, FusionConfig, FusionPlan, FusionProfile, FusionReport};
 pub use heap::{Heap, HeapObj};
-pub use interp::{
-    exec_straightline, fold_checksum, run_with_hook, BlockHook, Flow, RunState, Vm, VmConfig,
-};
+pub use interp::{fold_checksum, run_with_hook, BlockHook, Flow, RunState, Vm, VmConfig};
 pub use observer::{DispatchObserver, NullObserver, RecordingObserver};
 pub use reference::ReferenceVm;
 pub use stats::ExecStats;

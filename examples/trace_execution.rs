@@ -6,7 +6,8 @@
 //!
 //! 1. the plain block-dispatch interpreter with the profiler attached
 //!    (what the base system pays while profiling);
-//! 2. the trace-executing engine (profiling only outside traces);
+//! 2. the trace-executing engine (profiling only outside traces, traces
+//!    run in register form);
 //! 3. the same engine with the trace peephole optimizer.
 //!
 //! ```text
@@ -47,18 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
     let profiled_time = t0.elapsed();
 
-    // Trace-executing engine (second run = warm cache), decoded form.
-    let mut engine = TracingVm::new(
-        &w.program,
-        EngineConfig {
-            jit,
-            optimize: false,
-            superinstructions: true,
-            reg_ir: false,
-            dop_fusion: true,
-            health: true,
-        },
-    );
+    // Trace-executing engine (second run = warm cache).
+    let config = EngineConfig {
+        jit,
+        ..EngineConfig::paper_default()
+    };
+    let mut engine = TracingVm::new(&w.program, config);
     engine.run(&w.args)?;
     let t0 = Instant::now();
     let report = engine.run(&w.args)?;
@@ -66,40 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(report.checksum, w.expected_checksum);
 
     // With the trace optimizer.
-    let mut opt_engine = TracingVm::new(
-        &w.program,
-        EngineConfig {
-            jit,
-            optimize: true,
-            superinstructions: true,
-            reg_ir: false,
-            dop_fusion: true,
-            health: true,
-        },
-    );
+    let mut opt_engine = TracingVm::new(&w.program, config.with_optimizer(true));
     opt_engine.run(&w.args)?;
     let t0 = Instant::now();
     let opt_report = opt_engine.run(&w.args)?;
     let opt_time = t0.elapsed();
     assert_eq!(opt_report.checksum, w.expected_checksum);
-
-    // Register-lowered traces: the final lowering stage.
-    let mut reg_engine = TracingVm::new(
-        &w.program,
-        EngineConfig {
-            jit,
-            optimize: true,
-            superinstructions: true,
-            reg_ir: true,
-            dop_fusion: true,
-            health: true,
-        },
-    );
-    reg_engine.run(&w.args)?;
-    let t0 = Instant::now();
-    let reg_report = reg_engine.run(&w.args)?;
-    let reg_time = t0.elapsed();
-    assert_eq!(reg_report.checksum, w.expected_checksum);
 
     println!("interpreter (no profiler) : {plain_time:>10.2?}  {plain_dispatches} dispatches");
     println!(
@@ -115,18 +82,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "engine + trace optimizer  : {opt_time:>10.2?}  {} instructions executed (vs {})",
         opt_report.exec.instructions, report.exec.instructions
     );
-    println!("engine + register traces  : {reg_time:>10.2?}");
     let s = opt_engine.opt_stats();
     println!(
         "\ntrace optimizer: {} folds, {} dead-stack eliminations, {} identities, {} strength reductions — {:.1}% of compiled trace code removed",
         s.folds, s.eliminations, s.identities, s.reductions, 100.0 * s.savings()
     );
-    let fs = engine.fuse_stats();
-    println!(
-        "superinstructions: {} groups fused, compiled code {} -> {} entries",
-        fs.fused_groups, fs.before, fs.after
-    );
-    let rs = reg_engine.reg_stats();
+    let rs = engine.reg_stats();
     println!(
         "register lowering: {} -> {} instrs, {} virtual regs, {} stack ops eliminated, {} guards fused",
         rs.before, rs.after, rs.regs, rs.eliminated, rs.guards_fused

@@ -9,16 +9,11 @@ use tracecache_repro::jit::TraceJitConfig;
 use tracecache_repro::vm::{NullObserver, Vm};
 use tracecache_repro::workloads::{registry, Scale};
 
-// `reg_ir: false` keeps this suite pinned on the decoded-trace path —
-// the register path has its own differential suite (reg_differential.rs).
+/// The default engine with a short start delay, so test-scale runs trace.
 fn engine_config() -> EngineConfig {
     EngineConfig {
         jit: TraceJitConfig::paper_default().with_start_delay(16),
-        optimize: false,
-        superinstructions: true,
-        reg_ir: false,
-        dop_fusion: true,
-        health: true,
+        ..EngineConfig::default()
     }
 }
 

@@ -92,8 +92,6 @@ fn engines_agree_on_random_programs() {
             EngineConfig {
                 jit,
                 optimize: false,
-                superinstructions: true,
-                reg_ir: true,
                 dop_fusion: true,
                 health: true,
             },
@@ -104,14 +102,17 @@ fn engines_agree_on_random_programs() {
             "seed {seed:#x}: trace-executing engine diverged"
         );
         assert_eq!(r.exec.instructions, want_instrs, "seed {seed:#x}");
+        assert_eq!(
+            engine.reg_refused_count(),
+            0,
+            "seed {seed:#x}: register lowering refused a trace"
+        );
 
         let mut opt = TracingVm::new(
             &program,
             EngineConfig {
                 jit,
                 optimize: true,
-                superinstructions: true,
-                reg_ir: true,
                 dop_fusion: true,
                 health: true,
             },
@@ -122,6 +123,11 @@ fn engines_agree_on_random_programs() {
             "seed {seed:#x}: optimizing engine diverged"
         );
         assert!(r.exec.instructions <= want_instrs, "seed {seed:#x}");
+        assert_eq!(
+            opt.reg_refused_count(),
+            0,
+            "seed {seed:#x}: register lowering refused an optimized trace"
+        );
     }
 }
 
@@ -151,13 +157,16 @@ fn unrolling_preserves_semantics_on_random_programs() {
             EngineConfig {
                 jit,
                 optimize: true,
-                superinstructions: true,
-                reg_ir: true,
                 dop_fusion: true,
                 health: true,
             },
         );
         let r = engine.run(&args).expect("engine runs");
         assert_eq!(r.checksum, want, "seed {seed:#x}: unroll {unroll} diverged");
+        assert_eq!(
+            engine.reg_refused_count(),
+            0,
+            "seed {seed:#x}: unroll {unroll}: register lowering refused a trace"
+        );
     }
 }

@@ -128,36 +128,30 @@ fn side_exits_resuming_in_fused_shadow_slots_match_reference() {
     let program = phase_shift_program();
     let args = [Value::Int(4000)];
     let (want, want_instrs) = reference(&program, &args, u64::MAX);
-    for reg_ir in [true, false] {
-        let config = EngineConfig::paper_default().with_reg_ir(reg_ir);
-        let mut engine = TracingVm::new(&program, config);
-        let first = engine.run(&args).expect("profiling run");
-        assert_eq!(first.result, *want.as_ref().unwrap());
-        let fusion = engine.dop_fusion_report().expect("first run fuses");
-        assert!(fusion.fused() > 0, "the loop guards are fused");
+    let mut engine = TracingVm::new(&program, EngineConfig::paper_default());
+    let first = engine.run(&args).expect("profiling run");
+    assert_eq!(first.result, *want.as_ref().unwrap());
+    let fusion = engine.dop_fusion_report().expect("first run fuses");
+    assert!(fusion.fused() > 0, "the loop guards are fused");
 
-        // Some linked trace has a guard whose resume point is a shadow
-        // slot of the now-fused stream.
-        let code = &engine.decoded().func(program.entry()).code;
-        let shadow_exit = engine.cache().iter_links().any(|(_, t)| {
-            let ct = compile(&program, t).expect("linked traces compile");
-            let rt = lower_reg(&program, engine.decoded(), &ct).expect("loop traces lower");
-            rt.exits.iter().any(|e| in_shadow(code, e.dpc))
-        });
-        assert!(
-            shadow_exit,
-            "reg_ir={reg_ir}: a guard resumes in a shadow slot"
-        );
+    // Some linked trace has a guard whose resume point is a shadow slot
+    // of the now-fused stream.
+    let code = &engine.decoded().func(program.entry()).code;
+    let shadow_exit = engine.cache().iter_links().any(|(_, t)| {
+        let ct = compile(&program, t).expect("linked traces compile");
+        let rt = lower_reg(&program, engine.decoded(), &ct).expect("loop traces lower");
+        rt.exits.iter().any(|e| in_shadow(code, e.dpc))
+    });
+    assert!(shadow_exit, "a guard resumes in a shadow slot");
 
-        let exits_before = first.traces.exited_early;
-        let second = engine.run(&args).expect("fused run");
-        assert_eq!(second.result, *want.as_ref().unwrap(), "reg_ir={reg_ir}");
-        assert_eq!(second.exec.instructions, want_instrs, "reg_ir={reg_ir}");
-        assert!(
-            second.traces.exited_early > exits_before,
-            "reg_ir={reg_ir}: the phase shift side-exits on the fused run"
-        );
-    }
+    let exits_before = first.traces.exited_early;
+    let second = engine.run(&args).expect("fused run");
+    assert_eq!(second.result, *want.as_ref().unwrap());
+    assert_eq!(second.exec.instructions, want_instrs);
+    assert!(
+        second.traces.exited_early > exits_before,
+        "the phase shift side-exits on the fused run"
+    );
 }
 
 #[test]

@@ -1,13 +1,13 @@
-//! Differential testing of the register-lowered trace path: with
-//! `reg_ir` on, the engine executes hot traces from three-address
-//! virtual-register code, and nothing observable may change — results,
+//! Differential testing of the register-lowered trace path: the engine
+//! executes hot traces from three-address virtual-register code, and
+//! nothing observable may change — results,
 //! checksums, and (unoptimized) the exact instruction count must match
 //! the plain interpreter bit-for-bit.
 //!
 //! Coverage is three-pronged:
 //!
 //! * all six paper workloads, asserting traces really take the register
-//!   path (not the decoded fallback);
+//!   path and the lowering refuses none of them;
 //! * a seeded fuzz corpus over the shared [`genprog`] generator;
 //! * hand-built side-exit-heavy chaos programs that force every guard
 //!   kind to *fail* — conditional, switch, virtual-dispatch and
@@ -31,8 +31,6 @@ fn reg_config() -> EngineConfig {
     EngineConfig {
         jit: TraceJitConfig::paper_default().with_start_delay(16),
         optimize: false,
-        superinstructions: true,
-        reg_ir: true,
         dop_fusion: true,
         health: true,
     }
@@ -45,15 +43,14 @@ fn chaos_config() -> EngineConfig {
             .with_start_delay(2)
             .with_threshold(0.90),
         optimize: false,
-        superinstructions: true,
-        reg_ir: true,
         dop_fusion: true,
         health: true,
     }
 }
 
 /// Runs `program` under the plain interpreter and the register-trace
-/// engine and asserts bit-exact agreement, returning the engine's trace
+/// engine and asserts bit-exact agreement and that no compiled trace was
+/// refused by the register lowering, returning the engine's trace
 /// counters for exit-coverage assertions.
 fn assert_reg_matches(
     program: &Program,
@@ -77,7 +74,12 @@ fn assert_reg_matches(
         plain.stats().instructions,
         "{label}: register traces must execute the same instruction sequence"
     );
-    (report.traces, engine.reg_lowered_count())
+    assert_eq!(
+        engine.reg_refused_count(),
+        0,
+        "{label}: the register lowering refused a compiled trace"
+    );
+    (report.traces, engine.compiled_count())
 }
 
 #[test]
@@ -99,6 +101,7 @@ fn optimized_reg_engine_preserves_semantics_on_all_workloads() {
             "{}: optimizer + register lowering broke semantics",
             w.name
         );
+        assert_eq!(engine.reg_refused_count(), 0, "{}: refused", w.name);
     }
 }
 
@@ -129,7 +132,7 @@ fn warm_reg_engine_runs_stay_correct() {
         let report = engine.run(&w.args).unwrap();
         assert_eq!(report.checksum, w.expected_checksum, "run {i}");
     }
-    assert!(engine.reg_lowered_count() > 0);
+    assert!(engine.compiled_count() > 0);
 }
 
 /// A hot loop whose conditional flips every 16th iteration: the trace
